@@ -8,6 +8,7 @@ primitive cofactor of 2^70-1. For the primover outcomes it also locates the
 value in the ordered list of strong pseudoprimes to base 2.
 
 The Fermat ordinal (position 2315, a scan to 4.3e9) only runs with --deep.
+Exits 1 if any ordinal differs from the expected one, 0 otherwise.
 """
 import argparse
 import os
@@ -26,6 +27,7 @@ from primover.construct import (
 
 
 def show(label, verdict, expect_ordinal=None, workers=1, deep_progress=False):
+    """Print one example; return False when its ordinal is not the expected one."""
     value = verdict.product.value
     cls = verdict.classification
     print(f"{label}")
@@ -48,31 +50,35 @@ def show(label, verdict, expect_ordinal=None, workers=1, deep_progress=False):
         flag = "ok" if k == expect_ordinal else f"MISMATCH, expected {expect_ordinal}"
         print(f"  ordinal   : strong pseudoprime #{k} to base 2 ({dt:.1f}s) [{flag}]")
     print()
+    return expect_ordinal is None or k == expect_ordinal
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--deep", action="store_true", help="include the 4.3e9 ordinal scan")
     ap.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
-    show(
-        "Fermat number 2^(2^5)+1 = 4294967297",
-        verify_generalized_fermat(2, 6),
-        expect_ordinal=2315 if args.deep else None,
-        workers=args.workers,
-        deep_progress=args.deep,
-    )
-    show("two-prime cofactor, exponent 35 = 5*7", two_prime_cofactor(2, 5, 7),
-         expect_ordinal=150, workers=args.workers)
-    show("prime-power cofactor, exponent 25 = 5^2", prime_power_cofactor(2, 5, 2),
-         expect_ordinal=50, workers=args.workers)
-    show("primitive cofactor, exponent 70 = 2*5*7", primitive_cofactor(2, 70),
-         expect_ordinal=254, workers=args.workers)
-    show("sharing witness, exponent 21 = 3*7", two_prime_cofactor(2, 3, 7))
+    ok = [
+        show(
+            "Fermat number 2^(2^5)+1 = 4294967297",
+            verify_generalized_fermat(2, 6),
+            expect_ordinal=2315 if args.deep else None,
+            workers=args.workers,
+            deep_progress=args.deep,
+        ),
+        show("two-prime cofactor, exponent 35 = 5*7", two_prime_cofactor(2, 5, 7),
+             expect_ordinal=150, workers=args.workers),
+        show("prime-power cofactor, exponent 25 = 5^2", prime_power_cofactor(2, 5, 2),
+             expect_ordinal=50, workers=args.workers),
+        show("primitive cofactor, exponent 70 = 2*5*7", primitive_cofactor(2, 70),
+             expect_ordinal=254, workers=args.workers),
+        show("sharing witness, exponent 21 = 3*7", two_prime_cofactor(2, 3, 7)),
+    ]
     print(f"total {time.perf_counter() - t0:.1f}s")
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -311,15 +311,18 @@ def carmichael(f: Factorization) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _order_mod_prime(a: int, p: int) -> int:
-    if p == 2:
-        return 1
+def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
+    """Order of a modulo the prime p, by descent from p - 1 over its primes."""
     h = p - 1
-    for q in factorize(p - 1).primes:
+    for q in primes:
         while h % q == 0 and pow(a, h // q, p) == 1:
             h //= q
     return h
+
+
+@lru_cache(maxsize=None)
+def _order_mod_prime(a: int, p: int) -> int:
+    return order_descent(a, p, factorize(p - 1).primes) if p > 2 else 1
 
 
 @lru_cache(maxsize=None)

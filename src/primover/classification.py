@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
@@ -22,6 +23,7 @@ from primover.arith import (
     factor_with_table,
     factorize,
     mult_order,
+    order_descent,
     order_tower,
     prime_power_orders,
     primes_upto,
@@ -246,13 +248,10 @@ def _segment_survivors(
     The segment sieve proves compositeness, so survivors are certified
     strong pseudoprimes, not merely probable ones.
     """
-    pseudo = []
-    prime_count = 0
-    if lo <= 2 < hi:
-        prime_count += 1
+    prime_count = 1 if lo <= 2 < hi else 0
     start = max(3, lo) | 1
     if start >= hi:
-        return pseudo, prime_count
+        return [], prime_count
     m = (hi - start + 1) // 2
     composite = bytearray(m)
     for p in sieve_primes:
@@ -266,23 +265,12 @@ def _segment_survivors(
         if first < hi:
             j0 = (first - start) // 2
             composite[j0::p] = b"\x01" * len(range(j0, m, p))
-    for j in range(m):
-        n = start + 2 * j
-        if not composite[j]:
-            prime_count += 1
-            continue
-        d = n - 1
-        s = (d & -d).bit_length() - 1
-        d >>= s
-        x = pow(base, d, n)
-        if x == 1 or x == n - 1:
-            pseudo.append(n)
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                pseudo.append(n)
-                break
+    prime_count += composite.count(0)
+    pseudo = [
+        n
+        for n in compress(range(start, start + 2 * m, 2), composite)
+        if _strong_probable(n, base)
+    ]
     return pseudo, prime_count
 
 
@@ -401,19 +389,12 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     prime_limit = bound // 3
     table = smallest_factor_table(prime_limit)
 
-    def order_of(p: int) -> int:
-        h = p - 1
-        for q in factor_with_table(p - 1, table).primes:
-            while h % q == 0 and pow(a, h // q, p) == 1:
-                h //= q
-        return h
-
     # atom = (prime, max exponent keeping the same order within bound)
     classes: dict[int, list[tuple[int, int]]] = {}
     for p in range(3, prime_limit + 1, 2):
         if table[p] != p or a % p == 0:
             continue
-        h = order_of(p)
+        h = order_descent(a, p, factor_with_table(p - 1, table).primes)
         e = 1
         pk = p
         while pk * p <= bound and pow(a, h, pk * p) == 1:

@@ -1,17 +1,19 @@
 """Constructing primover divisors of a^n - 1.
 
-Each construction is an inclusion-exclusion quotient of numbers a^d - 1
-over divisors d of n. The exponent pattern comes from binary vectors split
-by popcount parity: even-parity (evil) vectors index numerator terms,
-odd-parity (odious) vectors denominator terms. The resulting value divides
-a^n - 1, and it is primover exactly when it is coprime to the complementary
-cofactor (a^n - 1) / value, except at the lone degenerate point where the
-value collapses to a bare intrinsic prime (base 2, exponent 6, value 3).
+Every construction is the cyclotomic value Phi_n(a), written as an
+inclusion-exclusion quotient of numbers a^d - 1 over divisors d of n. The
+exponent pattern comes from binary vectors split by popcount parity:
+even-parity (evil) vectors index numerator terms, odd-parity (odious)
+vectors denominator terms. The named constructions (two-prime, prime-power,
+two-prime-power, generalized Fermat) are this one quotient at particular
+shapes of n. The value divides a^n - 1, and it is primover exactly when it
+is coprime to n (see _verdict), except at the lone degenerate point where
+the value collapses to a bare intrinsic prime (base 2, exponent 6, value 3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, log
+from math import gcd, log, prod
 from typing import NamedTuple
 
 from primover.arith import Factorization, euler_phi, factorize, is_prime, mult_order
@@ -89,8 +91,13 @@ def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
 
     For n = p1^l1 ... pk^lk each vector (i1, ..., ik) contributes the
     exponent p1^(l1-i1) ... pk^(lk-ik); even-parity vectors go upstairs,
-    odd-parity ones downstairs.
+    odd-parity ones downstairs; k is capped at MAX_DISTINCT_PRIMES.
     """
+    if len(f.factors) > MAX_DISTINCT_PRIMES:
+        raise ResourceError(
+            f"{f.subject} has {len(f.factors)} distinct primes; "
+            f"the term count 2^k is capped at k = {MAX_DISTINCT_PRIMES}"
+        )
     primes = f.primes
     exps = [e for _, e in f.factors]
     evil, odious = evil_odious_vectors(len(primes))
@@ -105,14 +112,11 @@ def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
     return tuple(terms)
 
 
-def _evaluate(base: int, n: int, terms: tuple[tuple[int, int], ...]) -> CofactorProduct:
-    num = den = 1
-    for e, sign in terms:
-        t = base**e - 1
-        if sign == 1:
-            num *= t
-        else:
-            den *= t
+def _evaluate(base: int, n: int) -> CofactorProduct:
+    """Phi_n(base) as the evil/odious quotient; n >= 2, prime or not."""
+    terms = cofactor_terms(factorize(n))
+    num = prod(base**e - 1 for e, sign in terms if sign == 1)
+    den = prod(base**e - 1 for e, sign in terms if sign == -1)
     value, rem = divmod(num, den)
     if rem:
         raise ArithmeticError(f"denominator does not divide numerator at exponent {n}")
@@ -124,8 +128,21 @@ def _require_base(a: int) -> None:
         raise DomainError("base must be at least 2")
 
 
-def _verdict(product: CofactorProduct, coprime_to: int) -> ConstructionVerdict:
+def _require_prime_pair(p: int, q: int) -> None:
+    if not (is_prime(p) and is_prime(q)):
+        raise DomainError("p and q must be prime")
+    if p >= q:
+        raise DomainError("need p < q")
+
+
+def _verdict(product: CofactorProduct) -> ConstructionVerdict:
     """Attach the coprimality flag and a full classification, cross-checked.
+
+    The value V = Phi_n(a) is coprime to its complement (a^n - 1) / V exactly
+    when gcd(V, n) = 1. A prime p dividing V with p not dividing n gives a
+    the order n exactly, so it divides no a^d - 1 for a proper divisor d of
+    n. A prime p dividing both V and n makes n = ord_p(a) * p^k with k >= 1,
+    so p divides a^(n/p) - 1, which divides the complement.
 
     Coprime values must classify as primover, and non-coprime composites must
     not; any other combination is a contradiction and raises.  One shape is
@@ -135,7 +152,7 @@ def _verdict(product: CofactorProduct, coprime_to: int) -> ConstructionVerdict:
     the only such point for base 2).  The prime is primover on its own merits
     while still sharing a factor with the complement.
     """
-    holds = gcd(product.value, coprime_to) == 1
+    holds = gcd(product.value, product.modulus_exponent) == 1
     cls = classify(product.base, product.value)
     if holds != cls.primover:
         if not holds and cls.status is Status.PRIME:
@@ -148,31 +165,20 @@ def _verdict(product: CofactorProduct, coprime_to: int) -> ConstructionVerdict:
 
 
 def two_prime_cofactor(a: int, p: int, q: int) -> ConstructionVerdict:
-    """(a - 1)(a^pq - 1) / ((a^p - 1)(a^q - 1)) for primes p < q.
-
-    Primover exactly when coprime to (a^p - 1)(a^q - 1).
-    """
+    """(a - 1)(a^pq - 1) / ((a^p - 1)(a^q - 1)) for primes p < q."""
     _require_base(a)
-    if not (is_prime(p) and is_prime(q)):
-        raise DomainError("p and q must be prime")
-    if p >= q:
-        raise DomainError("need p < q")
-    product = _evaluate(a, p * q, ((1, 1), (p * q, 1), (p, -1), (q, -1)))
-    return _verdict(product, (a**p - 1) * (a**q - 1))
+    _require_prime_pair(p, q)
+    return _verdict(_evaluate(a, p * q))
 
 
 def prime_power_cofactor(a: int, p: int, m: int) -> ConstructionVerdict:
-    """(a^(p^m) - 1) / (a^(p^(m-1)) - 1) for prime p, m >= 2.
-
-    Primover exactly when coprime to a^(p^(m-1)) - 1.
-    """
+    """(a^(p^m) - 1) / (a^(p^(m-1)) - 1) for prime p, m >= 2."""
     _require_base(a)
     if not is_prime(p):
         raise DomainError("p must be prime")
     if m < 2:
         raise DomainError("need m >= 2")
-    product = _evaluate(a, p**m, ((p**m, 1), (p ** (m - 1), -1)))
-    return _verdict(product, a ** (p ** (m - 1)) - 1)
+    return _verdict(_evaluate(a, p**m))
 
 
 def two_prime_power_cofactor(
@@ -180,29 +186,15 @@ def two_prime_power_cofactor(
 ) -> ConstructionVerdict:
     """Cofactor at exponent p^alpha * q^beta for primes p < q.
 
-    The four evil/odious terms of the exponent pair; primover exactly when
-    coprime to the complementary cofactor
-    (a^(p^(alpha-1) q^beta) - 1)(a^(p^alpha q^(beta-1)) - 1) / (a^(p^(alpha-1) q^(beta-1)) - 1).
+    The four evil/odious terms of the exponent pair: with
+    l = p^(alpha-1) q^(beta-1), the quotient
+    (a^l - 1)(a^(lpq) - 1) / ((a^(lp) - 1)(a^(lq) - 1)).
     """
     _require_base(a)
-    if not (is_prime(p) and is_prime(q)):
-        raise DomainError("p and q must be prime")
-    if p >= q:
-        raise DomainError("need p < q")
+    _require_prime_pair(p, q)
     if alpha < 1 or beta < 1:
         raise DomainError("need alpha, beta >= 1")
-    low = p ** (alpha - 1) * q ** (beta - 1)
-    product = _evaluate(
-        a,
-        p**alpha * q**beta,
-        ((low, 1), (p**alpha * q**beta, 1), (low * p, -1), (low * q, -1)),
-    )
-    complement, rem = divmod(
-        (a ** (low * q) - 1) * (a ** (low * p) - 1), a**low - 1
-    )
-    if rem:
-        raise ArithmeticError("complement quotient is not exact")
-    return _verdict(product, complement)
+    return _verdict(_evaluate(a, p**alpha * q**beta))
 
 
 def primitive_cofactor_value(a: int, n: int) -> CofactorProduct:
@@ -210,19 +202,12 @@ def primitive_cofactor_value(a: int, n: int) -> CofactorProduct:
     _require_base(a)
     if n < 4 or is_prime(n):
         raise DomainError("n must be composite (so n >= 4)")
-    f = factorize(n)
-    if len(f.factors) > MAX_DISTINCT_PRIMES:
-        raise ResourceError(
-            f"{n} has {len(f.factors)} distinct primes; "
-            f"the term count 2^k is capped at k = {MAX_DISTINCT_PRIMES}"
-        )
-    return _evaluate(a, n, cofactor_terms(f))
+    return _evaluate(a, n)
 
 
 def primitive_cofactor(a: int, n: int) -> ConstructionVerdict:
     """Evil/odious cofactor of a^n - 1 with its primover verdict."""
-    product = primitive_cofactor_value(a, n)
-    return _verdict(product, product.complement())
+    return _verdict(primitive_cofactor_value(a, n))
 
 
 def generalized_fermat(a: int, n: int) -> int:
@@ -242,11 +227,11 @@ def verify_generalized_fermat(a: int, n: int) -> ConstructionVerdict:
     raises rather than returning a verdict.
     """
     value = generalized_fermat(a, n)
-    hi, lo = 2**n, 2 ** (n - 1)
-    product = _evaluate(a, hi, ((hi, 1), (lo, -1)))
+    hi = 2**n
+    product = _evaluate(a, hi)
     if product.value != value:
         raise ArithmeticError("cofactor form disagrees with a^(2^(n-1)) + 1")
-    verdict = _verdict(product, a**lo - 1)
+    verdict = _verdict(product)
     cls = verdict.classification
     if not cls.primover:
         raise ArithmeticError(f"{value} failed the primover guarantee")

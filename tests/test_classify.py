@@ -19,7 +19,7 @@ from primover.classification import (
     strong_pseudoprimes_upto,
 )
 from primover.errors import DomainError
-from oracles import naive_strong_test
+from oracles import naive_is_prime, naive_strong_test
 
 # the start of the base-2 overpseudoprime sequence, for cross-checks
 FIRST_OVERPSEUDOPRIMES = (
@@ -191,6 +191,19 @@ class TestScan:
         serial = scan(2, 10**5, workers=1)
         parallel = scan(2, 10**5, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("base", (2, 3, 5, 7))
+    def test_segments_match_naive(self, monkeypatch, base):
+        # 1024-wide segments, so 2*10^4 spans about twenty of them
+        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+        bound = 2 * 10**4
+        found, prime_count = strong_pseudoprimes_upto(base, bound)
+        assert found == [
+            n
+            for n in range(3, bound + 1, 2)
+            if not naive_is_prime(n) and naive_strong_test(base, n)
+        ]
+        assert prime_count == sum(1 for n in range(bound + 1) if naive_is_prime(n))
 
     def test_counts_are_consistent(self):
         report = scan(2, 10**5)

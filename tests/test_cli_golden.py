@@ -1,0 +1,100 @@
+"""CLI output pinned byte for byte against tests/data/cli_golden.json.
+
+Each case keeps the exit code, stdout and stderr of the text report, and
+stdout of the --format json report with its timing_ms field removed (the
+one field that varies between runs). The cases cover `cofactor` for bases
+2, 3, 5, 6 and 10 at every composite n with a^n <= 2^128, every `construct`
+kind on the parameters used in test_construct.py, and `identity` and
+`bound` at n = 9, 35, 45 and 70.
+
+Record the file again only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from oracles import naive_is_prime  # noqa: E402
+from primover import arith  # noqa: E402
+from primover.cli import main  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+_TIMING = re.compile(r', "timing_ms": [-+.0-9e]+')
+
+
+def cases() -> list[tuple[str, ...]]:
+    out: list[tuple[str, ...]] = []
+    for a in (2, 3, 5, 6, 10):
+        n = 4
+        while a**n <= 2**128:
+            if not naive_is_prime(n):
+                out.append(("cofactor", "--base", str(a), str(n)))
+            n += 1
+    construct = {
+        "two-prime": [(5, 7), (3, 5), (3, 7), (3, 11), (4, 7), (7, 5), (5, 5)],
+        "prime-power": [
+            (5, 2), (3, 2), (2, 2), (3, 3), (2, 4), (5, 1), (6, 2),
+        ],
+        "two-prime-power": [
+            (3, 2, 5, 1), (5, 1, 7, 1), (3, 1, 5, 1), (2, 2, 3, 2),
+            (2, 1, 7, 2), (5, 1, 3, 1), (3, 0, 5, 1),
+        ],
+    }
+    for kind, params in construct.items():
+        out += [("construct", kind, *map(str, p)) for p in params]
+    out += [("construct", "fermat", str(n)) for n in range(0, 8)]
+    out += [("construct", "fermat", "--base", str(a), "2") for a in (3, 4, 6)]
+    for n in (9, 35, 45, 70):
+        out += [("identity", str(n)), ("bound", str(n))]
+    return out
+
+
+def run(argv: tuple[str, ...]) -> dict:
+    """Run the CLI in-process on argv in text and in JSON form."""
+    saved = {k: os.environ.pop(k) for k in list(os.environ) if k.startswith("PRIMOVER_")}
+    try:
+        record = {}
+        for fmt in ("text", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--format", fmt, *argv])
+            if fmt == "text":
+                record.update(exit=code, text=out.getvalue(), stderr=err.getvalue())
+            else:
+                record["json"] = _TIMING.sub("", out.getvalue())
+        return record
+    finally:
+        arith.set_cache(None)
+        os.environ.update(saved)
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", cases(), ids=" ".join)
+def test_cli_bytes_match_golden(golden, argv):
+    assert run(argv) == golden[" ".join(argv)]
+
+
+def test_golden_covers_exactly_the_cases(golden):
+    assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    data = {" ".join(argv): run(argv) for argv in cases()}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {GOLDEN}")

@@ -346,6 +346,13 @@ class TestCliContracts:
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "101", "--ceiling", "50")
         assert code == 2
 
+    def test_identity_term_cap_exits_2(self, capsys):
+        # 17 distinct primes: the 2^17-term build is refused up front
+        code, out, err = run_cli(capsys, "identity", "1922760350154212639070")
+        assert code == 2
+        assert out == ""
+        assert "distinct primes" in err
+
     def test_help_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0

@@ -213,6 +213,9 @@ class TestPrimitiveCofactor:
             overloaded *= p
         with pytest.raises(ResourceError):
             primitive_cofactor_value(2, overloaded)
+        # the term build itself is capped, so the identity refuses it too
+        with pytest.raises(ResourceError):
+            exponent_identity(overloaded)
 
     def test_biconditional_through_120(self):
         # coprime to complement exactly when classified primover, with the
@@ -228,6 +231,42 @@ class TestPrimitiveCofactor:
                 assert v.classification.status is Status.PRIME
             else:
                 assert v.coprimality_holds == v.classification.primover, n
+
+    @pytest.mark.parametrize("a", (3, 5, 6, 10))
+    def test_coprimality_matches_complement_gcd(self, a):
+        # gcd(value, n) == 1 decides coprimality with the full complement
+        n = 4
+        while a**n <= 2**128:
+            if not is_prime(n):
+                v = moebius_cofactor(a, n)
+                got = primitive_cofactor(a, n).coprimality_holds
+                assert got == (gcd(v, (a**n - 1) // v) == 1), (a, n)
+            n += 1
+
+    def test_named_constructors_match_their_complements(self):
+        # each named form's flag against the gcd with its complementary
+        # product, spelled out longhand
+        a = 2
+        for p, q in ((5, 7), (3, 5), (3, 7), (3, 11)):
+            v = two_prime_cofactor(a, p, q)
+            other = (a**p - 1) * (a**q - 1)
+            assert v.coprimality_holds == (gcd(v.product.value, other) == 1), (p, q)
+        for p, m in ((5, 2), (3, 2), (2, 2), (3, 3), (2, 4)):
+            v = prime_power_cofactor(a, p, m)
+            other = a ** (p ** (m - 1)) - 1
+            assert v.coprimality_holds == (gcd(v.product.value, other) == 1), (p, m)
+        for p, alpha, q, beta in (
+            (3, 2, 5, 1), (5, 1, 7, 1), (3, 1, 5, 1), (2, 2, 3, 2), (2, 1, 7, 2)
+        ):
+            v = two_prime_power_cofactor(a, p, alpha, q, beta)
+            low = p ** (alpha - 1) * q ** (beta - 1)
+            other, rem = divmod((a ** (low * q) - 1) * (a ** (low * p) - 1), a**low - 1)
+            assert rem == 0
+            assert v.coprimality_holds == (gcd(v.product.value, other) == 1), (p, q)
+        for a, n in [(2, k) for k in range(1, 8)] + [(4, 2), (6, 2)]:
+            v = verify_generalized_fermat(a, n)
+            other = a ** (2 ** (n - 1)) - 1
+            assert v.coprimality_holds == (gcd(v.product.value, other) == 1), (a, n)
 
     def test_divisor_orders_equal_n_when_coprime(self):
         for n in (35, 45, 70):
