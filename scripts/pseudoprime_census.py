@@ -4,8 +4,11 @@
 The constructive route enumerates multiplicative order classes and multiplies
 primes sharing an order; the exhaustive route scans every odd number with the
 strong probable-prime test and filters. Their agreement is a strong check on
-both, so the script runs both by default and diffs the lists (use --skip-scan
-above ~10^8 where the exhaustive route stops being fun on one core).
+both, so the script runs both by default and diffs the lists; it exits 1 when
+they differ. The order-filtered scan is the faster route (to 2^24 on one
+core: scan 3.5 s, census 8.1 s). The census keeps a smallest-factor table of
+about 38 bytes per integer below bound/3, which limits the bound to about
+10^8 (1.3 GB); --skip-scan only saves the scan's time.
 """
 import argparse
 import os
@@ -19,14 +22,14 @@ from primover.arith import factorize, mult_order
 from primover.classification import classify, overpseudoprimes_upto, scan
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=int, default=2)
     ap.add_argument("--bound", type=int, default=1_000_000)
     ap.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
     ap.add_argument("--skip-scan", action="store_true",
                     help="only run the constructive enumeration")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
     census = overpseudoprimes_upto(args.base, args.bound)
@@ -42,7 +45,7 @@ def main():
             print(f"  {n:>12}  order {h:>4}  = {factorize(n)}")
 
     if args.skip_scan:
-        return
+        return 0
 
     t0 = time.perf_counter()
     report = scan(args.base, args.bound, workers=args.workers)
@@ -59,13 +62,13 @@ def main():
 
     if scanned == census:
         print("\nthe two routes agree")
-    else:
-        only_scan = set(scanned) - set(census)
-        only_census = set(census) - set(scanned)
-        print(f"\nDISAGREEMENT: scan-only {sorted(only_scan)}, "
-              f"census-only {sorted(only_census)}")
-        sys.exit(1)
+        return 0
+    only_scan = set(scanned) - set(census)
+    only_census = set(census) - set(scanned)
+    print(f"\nDISAGREEMENT: scan-only {sorted(only_scan)}, "
+          f"census-only {sorted(only_census)}")
+    return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

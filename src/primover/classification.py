@@ -26,7 +26,6 @@ from primover.arith import (
     order_descent,
     order_tower,
     prime_power_orders,
-    primes_upto,
     smallest_factor_table,
 )
 from primover.cosets import DEFAULT_ENUMERATION_CEILING, coset_count
@@ -239,42 +238,79 @@ def is_superpseudoprime(
 
 _SEGMENT = 1 << 22
 
+# mark states: 0 prime, 1 composite that may be a pseudoprime, 2 ruled out
+_RULED_OUT = b"\x02"
+_LIFT = bytes.maketrans(b"\x00", b"\x01")
+_MAY_PASS = bytes.maketrans(b"\x02", b"\x00")
+
+
+def _sieve_table(a: int, bound: int) -> list[tuple[int, int]]:
+    """Odd sieving primes q <= isqrt(bound) + 1, each with ord_q(a).
+
+    The order is 0 when q divides a. Orders come from a local factor table
+    of q - 1, so no factorization cache or order cache is touched.
+    """
+    limit = isqrt(bound) + 1
+    table = smallest_factor_table(limit)
+    return [
+        (q, order_descent(a, q, factor_with_table(q - 1, table).primes) if a % q else 0)
+        for q in range(3, limit + 1, 2)
+        if table[q] == q
+    ]
+
 
 def _segment_survivors(
-    base: int, lo: int, hi: int, sieve_primes: list[int]
+    base: int, lo: int, hi: int, sieve: list[tuple[int, int]]
 ) -> tuple[list[int], int]:
     """Strong pseudoprimes to base in [lo, hi), plus the prime count there.
 
     The segment sieve proves compositeness, so survivors are certified
-    strong pseudoprimes, not merely probable ones.
+    strong pseudoprimes, not merely probable ones. While it marks the
+    multiples of each sieving prime q it also rules out most of them
+    (Pomerance-Selfridge-Wagstaff). A strong pseudoprime n is a Fermat
+    pseudoprime, so h = ord_q(base) divides n - 1 for every prime q | n.
+    As h | q - 1, q and h are coprime, so by CRT n = q (mod q*h), and as n
+    is odd, n = q (mod q*lcm(2, h)). Multiples of q outside that class are
+    marked ruled out; multiples of a q dividing the base are all ruled out,
+    since a strong pseudoprime is coprime to its base. Only the composites
+    that no sieving prime rules out get the full strong test.
     """
     prime_count = 1 if lo <= 2 < hi else 0
     start = max(3, lo) | 1
     if start >= hi:
         return [], prime_count
     m = (hi - start + 1) // 2
-    composite = bytearray(m)
-    for p in sieve_primes:
-        if p == 2:
-            continue
-        if p * p >= hi:
+    marks = bytearray(m)
+    for q, h in sieve:
+        if q * q >= hi:
             break
-        first = max(p * p, (start + p - 1) // p * p)
+        first = max(q * q, (start + q - 1) // q * q)
         if first % 2 == 0:
-            first += p
-        if first < hi:
-            j0 = (first - start) // 2
-            composite[j0::p] = b"\x01" * len(range(j0, m, p))
-    prime_count += composite.count(0)
+            first += q
+        if first >= hi:
+            continue
+        j0 = (first - start) // 2
+        ruled_out = _RULED_OUT * len(range(j0, m, q))
+        if h == 0:
+            marks[j0::q] = ruled_out
+            continue
+        step = q * lcm(2, h)
+        may_pass = slice((first + (q - first) % step - start) // 2, m, step // 2)
+        kept = marks[may_pass]
+        marks[j0::q] = ruled_out
+        marks[may_pass] = kept.translate(_LIFT)
+    prime_count += marks.count(0)
     pseudo = [
         n
-        for n in compress(range(start, start + 2 * m, 2), composite)
+        for n in compress(range(start, start + 2 * m, 2), marks.translate(_MAY_PASS))
         if _strong_probable(n, base)
     ]
     return pseudo, prime_count
 
 
-def _segment_job(args: tuple[int, int, int, list[int]]) -> tuple[list[int], int]:
+def _segment_job(
+    args: tuple[int, int, int, list[tuple[int, int]]]
+) -> tuple[list[int], int]:
     return _segment_survivors(*args)
 
 
@@ -288,20 +324,20 @@ def strong_pseudoprimes_upto(
     """All strong pseudoprimes to base a up to bound, and pi(bound).
 
     Work is split into fixed segments; with workers > 1 the segments run in
-    a process pool and are merged in order, so the output is identical
-    either way.
+    a process pool of at most one process per segment and are merged in
+    order, so the output is identical either way.
     """
     if bound < 2:
         return [], 0
-    sieve_primes = primes_upto(isqrt(bound) + 1)
+    sieve = _sieve_table(a, bound)
     jobs = [
-        (a, lo, min(lo + _SEGMENT, bound + 1), sieve_primes)
+        (a, lo, min(lo + _SEGMENT, bound + 1), sieve)
         for lo in range(0, bound + 1, _SEGMENT)
     ]
     found: list[int] = []
     prime_count = 0
     if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             for i, (pseudo, count) in enumerate(pool.imap(_segment_job, jobs)):
                 found.extend(pseudo)
                 prime_count += count

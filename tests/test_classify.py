@@ -188,11 +188,37 @@ class TestScan:
     def test_parallel_matches_serial(self, monkeypatch):
         # shrink segments so a small bound spans several of them
         monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 14)
-        serial = scan(2, 10**5, workers=1)
-        parallel = scan(2, 10**5, workers=2)
-        assert serial == parallel
+        for base in (2, 6):
+            serial = scan(base, 10**5, workers=1)
+            parallel = scan(base, 10**5, workers=2)
+            assert serial == parallel
 
-    @pytest.mark.parametrize("base", (2, 3, 5, 7))
+    def test_pool_is_capped_at_segment_count(self, monkeypatch):
+        # a stand-in pool that records its size and runs the jobs in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+        found = strong_pseudoprimes_upto(2, 3 * (1 << 10) - 1, workers=64)
+        assert sizes == [3]
+        assert found == strong_pseudoprimes_upto(2, 3 * (1 << 10) - 1)
+
+    # 6, 10 and 15 are divisible by sieving primes, and 4, 6, 10 and 15 have
+    # order 1 at one: ord_3(4) = ord_5(6) = ord_3(10) = ord_7(15) = 1
+    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 15))
     def test_segments_match_naive(self, monkeypatch, base):
         # 1024-wide segments, so 2*10^4 spans about twenty of them
         monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
@@ -204,6 +230,20 @@ class TestScan:
             if not naive_is_prime(n) and naive_strong_test(base, n)
         ]
         assert prime_count == sum(1 for n in range(bound + 1) if naive_is_prime(n))
+
+    @pytest.mark.parametrize("base", (2, 3))
+    @pytest.mark.parametrize(
+        "lo, hi", (((1 << 26) - (1 << 12), 1 << 26), ((1 << 30) + 1, (1 << 30) + (1 << 11)))
+    )
+    def test_far_window_matches_naive(self, base, lo, hi):
+        # the sieve table a scan to hi - 1 would build, used on its last window
+        sieve = primover.classification._sieve_table(base, hi - 1)
+        found, prime_count = primover.classification._segment_survivors(base, lo, hi, sieve)
+        odd = range(lo | 1, hi, 2)
+        assert prime_count == sum(1 for n in odd if naive_is_prime(n))
+        assert found == [
+            n for n in odd if naive_strong_test(base, n) and not naive_is_prime(n)
+        ]
 
     def test_counts_are_consistent(self):
         report = scan(2, 10**5)
@@ -242,6 +282,16 @@ class TestCensus:
             if overpseudoprime_by_order_criterion(3, n).ok
         )
         assert census == filtered
+
+    @pytest.mark.parametrize("base", (5, 6, 7, 10))
+    def test_matches_scan_filter_other_bases(self, base):
+        report = scan(base, 1 << 18)
+        filtered = tuple(
+            n
+            for n in report.strong_pseudoprimes
+            if overpseudoprime_by_order_criterion(base, n).ok
+        )
+        assert overpseudoprimes_upto(base, 1 << 18) == filtered
 
 
 @settings(max_examples=150)
