@@ -411,23 +411,25 @@ def strong_pseudoprime_ordinal(
 def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     """Every overpseudoprime to base a up to bound, by direct construction.
 
-    All prime power factors of an overpseudoprime share one order, so the
-    census groups candidate prime powers by the order they give the base
-    and multiplies within each class. Any useful factor is at most bound/3
-    (the smallest possible cofactor is 3), which caps the prime range to
-    sieve. No pseudoprime scan is involved, making this an independent
-    check on scan-based counts.
+    All prime power factors of an overpseudoprime share one order h, so the
+    census groups prime powers by the order they give the base and
+    multiplies within each class. A composite n <= bound has its smallest
+    prime p <= isqrt(bound), so only those primes seed classes. A larger
+    prime q | n has exponent 1, and in class h, q = 1 (mod lcm(2, h)),
+    q | a^h - 1 and q <= bound // p_min(h), the smallest seed of the class;
+    walking that progression for primes of order exactly h loses no class
+    member. No pseudoprime scan is involved: an independent check on scans.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
     if bound < 9:
         return ()
-    prime_limit = bound // 3
-    table = smallest_factor_table(prime_limit)
+    root = isqrt(bound)
+    table = smallest_factor_table(root)
 
     # atom = (prime, max exponent keeping the same order within bound)
     classes: dict[int, list[tuple[int, int]]] = {}
-    for p in range(3, prime_limit + 1, 2):
+    for p in range(3, root + 1, 2):
         if table[p] != p or a % p == 0:
             continue
         h = order_descent(a, p, factor_with_table(p - 1, table).primes)
@@ -438,24 +440,37 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
             e += 1
         classes.setdefault(h, []).append((p, e))
 
+    for h, atoms in classes.items():
+        limit = bound // atoms[0][0]
+        if h < limit.bit_length():
+            limit = min(limit, a**h - 1)
+        step = lcm(2, h)
+        h_primes = factor_with_table(h, table).primes
+        atoms.extend(
+            (q, 1)
+            for q in range(root + 1 + -root % step, limit + 1, step)
+            if pow(a, h, q) == 1
+            and check_prime(q).value
+            and all(pow(a, h // r, q) != 1 for r in h_primes)
+        )
+
     found: list[int] = []
 
     def grow(atoms: list[tuple[int, int]], i: int, value: int, parts: int) -> None:
         for j in range(i, len(atoms)):
             p, e_max = atoms[j]
-            v = value * p
-            e = 1
-            while v <= bound:
+            if value * p > bound:
+                break  # atoms ascend, so every later prime overshoots too
+            v = value
+            for e in range(1, e_max + 1):
+                v *= p
+                if v > bound:
+                    break
                 if parts + e >= 2:
                     found.append(v)
                 grow(atoms, j + 1, v, parts + e)
-                if e == e_max:
-                    break
-                v *= p
-                e += 1
 
-    for h in sorted(classes):
-        atoms = sorted(classes[h])
+    for atoms in classes.values():  # atoms ascend: seeds, then walked primes
         if len(atoms) == 1 and atoms[0][1] == 1:
             continue  # nothing composite can come from a single bare prime
         grow(atoms, 0, 1, 0)

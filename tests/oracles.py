@@ -5,7 +5,7 @@ obvious computation of its quantity.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 
 
 def naive_is_prime(n: int) -> bool:
@@ -100,3 +100,66 @@ def naive_strong_test(a: int, n: int) -> bool:
         if x == n - 1:
             return True
     return False
+
+
+def longhand_census(a: int, bound: int) -> tuple[int, ...]:
+    """Overpseudoprimes to base a up to bound, from an order for every prime
+    up to bound/3 (the smallest possible cofactor is 3).
+
+    Each prime p gets h = ord_p(a), by descent from p - 1 over a
+    smallest-factor table, and the largest exponent that keeps that order
+    within bound; the primes of each class are multiplied together in every
+    way that stays within bound. Time and memory grow with bound/3.
+    """
+    assert a >= 2
+    if bound < 9:
+        return ()
+    prime_limit = bound // 3
+    table = list(range(prime_limit + 1))
+    for p in range(2, isqrt(prime_limit) + 1):
+        if table[p] == p:
+            for m in range(p * p, prime_limit + 1, p):
+                if table[m] == m:
+                    table[m] = p
+
+    # atom = (prime, max exponent keeping the same order within bound)
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for p in range(3, prime_limit + 1, 2):
+        if table[p] != p or a % p == 0:
+            continue
+        h = m = p - 1
+        while m > 1:
+            q = table[m]
+            while m % q == 0:
+                m //= q
+            while h % q == 0 and pow(a, h // q, p) == 1:
+                h //= q
+        e = 1
+        pk = p
+        while pk * p <= bound and pow(a, h, pk * p) == 1:
+            pk *= p
+            e += 1
+        classes.setdefault(h, []).append((p, e))
+
+    found: list[int] = []
+
+    def grow(atoms: list[tuple[int, int]], i: int, value: int, parts: int) -> None:
+        for j in range(i, len(atoms)):
+            p, e_max = atoms[j]
+            v = value * p
+            e = 1
+            while v <= bound:
+                if parts + e >= 2:
+                    found.append(v)
+                grow(atoms, j + 1, v, parts + e)
+                if e == e_max:
+                    break
+                v *= p
+                e += 1
+
+    for h in sorted(classes):
+        atoms = sorted(classes[h])
+        if len(atoms) == 1 and atoms[0][1] == 1:
+            continue  # nothing composite can come from a single bare prime
+        grow(atoms, 0, 1, 0)
+    return tuple(sorted(found))

@@ -1,3 +1,5 @@
+import tracemalloc
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -19,13 +21,25 @@ from primover.classification import (
     strong_pseudoprimes_upto,
 )
 from primover.errors import DomainError
-from oracles import naive_is_prime, naive_strong_test
+from oracles import longhand_census, naive_is_prime, naive_strong_test
 
 # the start of the base-2 overpseudoprime sequence, for cross-checks
 FIRST_OVERPSEUDOPRIMES = (
     2047, 3277, 4033, 8321, 65281, 80581, 85489, 88357,
     104653, 130561, 220729, 253241,
 )
+
+WIEFERICH_SQUARE = 1093**2
+
+
+@lru_cache(maxsize=None)
+def longhand_to_wieferich_square(base):
+    """The oracle census at 1093^2; a smaller bound takes its prefix."""
+    return longhand_census(base, WIEFERICH_SQUARE)
+
+
+def longhand_upto(base, bound):
+    return tuple(n for n in longhand_to_wieferich_square(base) if n <= bound)
 
 
 class TestDefinitionalTest:
@@ -292,6 +306,42 @@ class TestCensus:
             if overpseudoprime_by_order_criterion(base, n).ok
         )
         assert overpseudoprimes_upto(base, 1 << 18) == filtered
+
+    @pytest.mark.parametrize("base", range(2, 41))
+    def test_matches_longhand(self, base):
+        bounds = [9, 2046, 2047, WIEFERICH_SQUARE - 1, WIEFERICH_SQUARE, (1 << 17) + 1]
+        if base in (2, 3, 5, 6, 7, 10, 15):
+            bounds.append(1 << 20)
+        for bound in bounds:
+            assert overpseudoprimes_upto(base, bound) == longhand_upto(base, bound), bound
+
+    @pytest.mark.parametrize("base", (7, 31, 34))
+    def test_matches_longhand_where_order_is_one(self, base):
+        # 3 | a - 1 seeds class 1; for base 34 the walk adds 11 | 33 while
+        # isqrt(bound) < 11, so 33 = 3 * 11 comes from the walk at first
+        for bound in range(9, 3000):
+            assert overpseudoprimes_upto(base, bound) == longhand_upto(base, bound), bound
+
+    def test_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            census = overpseudoprimes_upto(2, 1 << 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(census) == 119
+        assert peak < 8 << 20
+
+    @pytest.mark.deep
+    def test_matches_scan_filter_to_1e9(self):
+        report = scan(2, 10**9, workers=2)
+        filtered = tuple(
+            n
+            for n in report.strong_pseudoprimes
+            if overpseudoprime_by_order_criterion(2, n).ok
+        )
+        assert overpseudoprimes_upto(2, 10**9) == filtered
+        assert len(filtered) == 663
 
 
 @settings(max_examples=150)

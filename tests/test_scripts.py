@@ -44,6 +44,14 @@ def test_census_exits_0_when_routes_agree(census, capsys):
     assert "the two routes agree" in capsys.readouterr().out
 
 
+def test_census_skip_scan_runs_census_only(census, monkeypatch, capsys):
+    monkeypatch.setattr(census, "scan", None)  # calling it would raise
+    assert census.main(["--bound", "100000", "--skip-scan"]) == 0
+    out = capsys.readouterr().out
+    assert "constructive census: 8 overpseudoprimes to base 2 up to 100,000" in out
+    assert "exhaustive scan" not in out
+
+
 def test_census_exits_1_when_routes_disagree(census, monkeypatch, capsys):
     full = census.overpseudoprimes_upto
     monkeypatch.setattr(census, "overpseudoprimes_upto", lambda a, b: full(a, b)[1:])
