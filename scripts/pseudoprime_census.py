@@ -2,8 +2,9 @@
 """Census of overpseudoprimes up to a bound, two independent ways.
 
 The constructive route enumerates multiplicative order classes and multiplies
-primes sharing an order; the exhaustive route scans every odd number with the
-strong probable-prime test and filters. Their agreement is a strong check on
+primes sharing an order; the exhaustive route runs the certified scan, whose
+segment sieve rules out most composites by order and strong-tests only the
+rest, and filters its strong pseudoprimes by the order criterion. Their agreement is a strong check on
 both, so the script runs both by default and diffs the lists; it exits 1 when
 they differ. Both routes include the bound itself. The census seeds its
 classes from the primes up to the square root of the bound, so it is the

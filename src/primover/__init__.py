@@ -18,7 +18,7 @@ from primover.arith import (
     order_tower,
     prime_power_orders,
     primes_upto,
-    set_cache,
+    use_config,
 )
 from primover.classification import (
     Classification,

@@ -1,18 +1,24 @@
 """Integer arithmetic kernel: primality, factorization, totients, orders.
 
 Everything operates on Python's arbitrary-precision ints and is a pure
-function of its inputs. The one piece of shared state is the optional
-factorization cache, which serializes its writes behind a lock.
+function of its inputs and the run's settings: one context variable holds
+the Config and the factorization cache opened from its cache_path, and
+use_config installs them for a block. Outside any such block the defaults
+apply with no cache.
 """
 from __future__ import annotations
 
 import random
 import threading
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
+from typing import Iterator, NamedTuple
 
+from primover.config import Config
 from primover.errors import (
     DomainError,
     IncompleteFactorizationError,
@@ -24,9 +30,6 @@ from primover.errors import (
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _EXTRA_ROUNDS = 48
-
-DEFAULT_TRIAL_BOUND = 10_000
-DEFAULT_RHO_BUDGET = 5_000_000
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -231,27 +234,23 @@ def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
 
 
 def factorize(
-    n: int,
-    *,
-    trial_bound: int | None = None,
-    rho_budget: int | None = None,
-    cache: "FactorizationCache | None" = None,
+    n: int, *, trial_bound: int | None = None, rho_budget: int | None = None
 ) -> Factorization:
     """Fully factor n >= 2: trial division, then Brent rho on what remains.
 
-    Raises IncompleteFactorizationError when the rho iteration budget runs
-    out, carrying the partial result.
+    Bounds left as None and the cache come from the run's settings. Raises
+    IncompleteFactorizationError when the rho iteration budget runs out,
+    carrying the partial result.
     """
     if n < 2:
         raise DomainError("factorization needs n >= 2")
-    if cache is None:
-        cache = _active_cache
+    config, cache = _RUN.get()
     if cache is not None:
         hit = cache.get(n)
         if hit is not None:
             return hit
-    trial_bound = DEFAULT_TRIAL_BOUND if trial_bound is None else trial_bound
-    rho_budget = DEFAULT_RHO_BUDGET if rho_budget is None else rho_budget
+    trial_bound = config.trial_bound if trial_bound is None else trial_bound
+    rho_budget = config.rho_budget if rho_budget is None else rho_budget
 
     counts: dict[int, int] = {}
     m = n
@@ -321,18 +320,14 @@ def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _order_mod_prime(a: int, p: int) -> int:
-    return order_descent(a, p, factorize(p - 1).primes) if p > 2 else 1
-
-
-@lru_cache(maxsize=None)
 def order_tower(a: int, p: int, l: int) -> tuple[int, ...]:
     """Orders of a modulo p, p^2, ..., p^l.
 
-    Each lift either keeps the order or multiplies it by p, decided by one
-    modular power. Requires p prime, p not dividing a.
+    The order mod p descends from p - 1 over its primes; each lift either
+    keeps the order or multiplies it by p, decided by one modular power.
+    Requires p prime, p not dividing a.
     """
-    orders = [_order_mod_prime(a, p)]
+    orders = [order_descent(a, p, factorize(p - 1).primes) if p > 2 else 1]
     pk = p
     for _ in range(l - 1):
         pk *= p
@@ -360,11 +355,18 @@ def mult_order(
         raise DomainError("modulus must be at least 2")
     if gcd(a, n) != 1:
         raise DomainError(f"order undefined: gcd({a}, modulus) > 1")
-    f = factorization if factorization is not None else factorize(n)
+    f = factorize(n) if factorization is None else require_subject(factorization, n)
     order = 1
     for p, e in f.factors:
         order = lcm(order, order_tower(a, p, e)[-1])
     return OrderResult(a, n, order)
+
+
+def require_subject(f: Factorization, n: int) -> Factorization:
+    """f itself, once it is checked to factor n; a caller's mismatch raises."""
+    if f.subject != n:
+        raise DomainError(f"the factorization supplied is of {f.subject}, not {n}")
+    return f
 
 
 def prime_power_orders(
@@ -451,14 +453,30 @@ class FactorizationCache:
         return len(self._table)
 
 
-_active_cache: FactorizationCache | None = None
+class _Run(NamedTuple):
+    config: Config
+    cache: FactorizationCache | None
 
 
-def set_cache(cache: FactorizationCache | None) -> None:
-    """Install (or clear) the process-wide factorization cache."""
-    global _active_cache
-    _active_cache = cache
+_RUN: ContextVar[_Run] = ContextVar("primover_run", default=_Run(Config(), None))
 
 
-def active_cache() -> FactorizationCache | None:
-    return _active_cache
+@contextmanager
+def use_config(config: Config) -> Iterator[None]:
+    """Run the block under config, with the cache opened from its cache_path.
+
+    Every setting reaches every call made inside the block, including the
+    factorizations hidden under order computations. Blocks nest, and the
+    previous settings return on exit.
+    """
+    cache = FactorizationCache(config.cache_path) if config.cache_path else None
+    token = _RUN.set(_Run(config, cache))
+    try:
+        yield
+    finally:
+        _RUN.reset(token)
+
+
+def settings() -> Config:
+    """The Config of the innermost use_config block, or the defaults."""
+    return _RUN.get().config

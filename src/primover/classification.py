@@ -10,6 +10,7 @@ pseudoprime predicates, range scans, and ordinal queries.
 from __future__ import annotations
 
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
@@ -26,9 +27,11 @@ from primover.arith import (
     order_descent,
     order_tower,
     prime_power_orders,
+    require_subject,
+    settings,
     smallest_factor_table,
 )
-from primover.cosets import DEFAULT_ENUMERATION_CEILING, coset_count
+from primover.cosets import coset_count
 from primover.errors import DomainError
 
 
@@ -119,7 +122,7 @@ def overpseudoprime_by_order_criterion(
     same order at every divisor > 1.
     """
     _require_odd_composite(a, n)
-    f = factorization if factorization is not None else factorize(n)
+    f = factorize(n) if factorization is None else require_subject(factorization, n)
     orders = prime_power_orders(a, f)
     h = lcm(*(t[2] for t in orders))
     ok = all(t[2] == h for t in orders)
@@ -131,12 +134,11 @@ def classify(
     n: int,
     *,
     factorization: Factorization | None = None,
-    cross_check_ceiling: int | None = None,
 ) -> Classification:
     """Full classification of n to base a.
 
-    Composites are judged by the order criterion; when n is within the
-    cross-check ceiling the coset-count definition is evaluated too and any
+    Composites are judged by the order criterion; when n is within the run's
+    coset_ceiling the coset-count definition is evaluated too and any
     disagreement raises (it would mean a bug, not a property of n).
     """
     if a < 2:
@@ -168,16 +170,9 @@ def classify(
             Evidence(reason=f"shares the factor {g} with the base"),
         )
     crit = overpseudoprime_by_order_criterion(a, n, factorization=factorization)
-    ceiling = (
-        DEFAULT_ENUMERATION_CEILING
-        if cross_check_ceiling is None
-        else cross_check_ceiling
-    )
     r = None
-    if n <= ceiling:
-        defn = overpseudoprime_by_coset_count(
-            a, n, ceiling=ceiling, factorization=crit.factorization
-        )
+    if n <= settings().coset_ceiling:
+        defn = overpseudoprime_by_coset_count(a, n, factorization=crit.factorization)
         if defn.ok != crit.ok:
             raise ArithmeticError(
                 f"coset count and order criterion disagree at base {a}, n {n}"
@@ -228,7 +223,7 @@ def is_superpseudoprime(
     Fermat's test passed by n and all of its parts at once.
     """
     _require_odd_composite(a, n)
-    f = factorization if factorization is not None else factorize(n)
+    f = factorize(n) if factorization is None else require_subject(factorization, n)
     return all(
         pow(a, d - 1, d) == 1 for d in f.divisors(cap=divisor_cap) if d > 1
     )
@@ -336,16 +331,10 @@ def strong_pseudoprimes_upto(
     ]
     found: list[int] = []
     prime_count = 0
-    if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
-            for i, (pseudo, count) in enumerate(pool.imap(_segment_job, jobs)):
-                found.extend(pseudo)
-                prime_count += count
-                if progress is not None:
-                    progress(jobs[i][2] - 1, bound)
-    else:
-        for job in jobs:
-            pseudo, count = _segment_survivors(*job)
+    parallel = workers > 1 and len(jobs) > 1
+    with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
+        results = pool.imap(_segment_job, jobs) if parallel else map(_segment_job, jobs)
+        for job, (pseudo, count) in zip(jobs, results):
             found.extend(pseudo)
             prime_count += count
             if progress is not None:

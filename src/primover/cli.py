@@ -205,14 +205,13 @@ def _verdict_lines(v: construct.ConstructionVerdict) -> list[str]:
 # --- verb handlers --------------------------------------------------------
 
 
-def _cmd_classify(args, cfg: Config):
-    c = classify_subject(args.base, args.subject, cross_check_ceiling=cfg.coset_ceiling)
+def _cmd_classify(args):
+    c = classify_subject(args.base, args.subject)
     return _classification_payload(c), _classification_lines(c), c.probabilistic
 
 
-def _cmd_cosets(args, cfg: Config):
-    ceiling = args.ceiling if args.ceiling is not None else cfg.coset_ceiling
-    d = decompose(args.base, args.modulus, ceiling=ceiling)
+def _cmd_cosets(args):
+    d = decompose(args.base, args.modulus, ceiling=args.ceiling)
     payload = {
         "base": d.base,
         "modulus": d.modulus,
@@ -226,12 +225,12 @@ def _cmd_cosets(args, cfg: Config):
     return payload, lines, False
 
 
-def _cmd_cofactor(args, cfg: Config):
+def _cmd_cofactor(args):
     v = construct.primitive_cofactor(args.base, args.exponent)
     return _verdict_payload(v), _verdict_lines(v), v.classification.probabilistic
 
 
-def _cmd_construct(args, cfg: Config):
+def _cmd_construct(args):
     if args.kind == "fermat":
         v = construct.verify_generalized_fermat(args.base, args.n)
     elif args.kind == "two-prime":
@@ -256,8 +255,9 @@ def _progress_printer(every: int = 16) -> Callable[[int, int], None]:
     return report
 
 
-def _cmd_ordinal(args, cfg: Config):
+def _cmd_ordinal(args):
     n = args.subject
+    cfg = arith.settings()
     if n > cfg.deep_threshold and not args.deep:
         raise DomainError(
             f"ordinal scan to {n} exceeds the threshold {cfg.deep_threshold}; "
@@ -270,8 +270,8 @@ def _cmd_ordinal(args, cfg: Config):
     return payload, [f"{n} is strong pseudoprime #{k} to base {args.base}"], False
 
 
-def _cmd_scan(args, cfg: Config):
-    workers = args.workers if args.workers is not None else cfg.workers
+def _cmd_scan(args):
+    workers = args.workers if args.workers is not None else arith.settings().workers
     report = scan_range(args.base, args.bound, workers=workers)
     payload = {
         "base": report.base,
@@ -295,7 +295,7 @@ def _cmd_scan(args, cfg: Config):
     return payload, lines, False
 
 
-def _cmd_identity(args, cfg: Config):
+def _cmd_identity(args):
     ident = construct.exponent_identity(args.n)
     payload = {
         "n": ident.n,
@@ -311,7 +311,7 @@ def _cmd_identity(args, cfg: Config):
     return payload, lines, False
 
 
-def _cmd_bound(args, cfg: Config):
+def _cmd_bound(args):
     rep = construct.cofactor_bound_report(args.base, args.n)
     payload = {
         "base": rep.base,
@@ -365,12 +365,11 @@ def main(argv: list[str] | None = None) -> int:
     cfg = load_config(args.config)
     if args.cache:
         cfg.cache_path = args.cache
-    if cfg.cache_path:
-        arith.set_cache(arith.FactorizationCache(cfg.cache_path))
 
     start = perf_counter()
     try:
-        payload, lines, probabilistic = _HANDLERS[args.verb](args, cfg)
+        with arith.use_config(cfg):
+            payload, lines, probabilistic = _HANDLERS[args.verb](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

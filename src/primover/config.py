@@ -27,13 +27,7 @@ class Config:
         return ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
 
 
-_INT_FIELDS = {
-    "coset_ceiling",
-    "trial_bound",
-    "rho_budget",
-    "workers",
-    "deep_threshold",
-}
+_INT_FIELDS = {f.name for f in fields(Config) if f.type == "int"}
 
 
 def load_config(

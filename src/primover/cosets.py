@@ -10,13 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from primover.arith import Factorization, factorize, order_tower
+from primover.arith import (
+    Factorization,
+    factorize,
+    order_tower,
+    require_subject,
+    settings,
+)
 from primover.errors import DomainError, EnumerationCeilingError
 
-DEFAULT_ENUMERATION_CEILING = 10_000_000
 
-
-def _require_args(a: int, n: int) -> None:
+def _require_args(a: int, n: int, ceiling: int | None) -> None:
     if a < 2:
         raise DomainError("base must be at least 2")
     if n <= 1:
@@ -25,6 +29,12 @@ def _require_args(a: int, n: int) -> None:
         raise DomainError("modulus must be odd")
     if gcd(a, n) != 1:
         raise DomainError(f"base {a} and modulus {n} must be coprime")
+    ceiling = settings().coset_ceiling if ceiling is None else ceiling
+    if n > ceiling:
+        raise EnumerationCeilingError(
+            f"modulus {n} is above the enumeration ceiling {ceiling}; "
+            "large subjects should go through the order criterion"
+        )
 
 
 @dataclass(frozen=True)
@@ -47,15 +57,9 @@ def decompose(
     Residues sharing a factor with n are included (their orbits are the
     cosets of a modulo the complementary divisor, scaled), so the cosets
     partition {1, ..., n-1} and the sizes sum to n - 1. Cost is linear in n;
-    above the ceiling this raises instead of enumerating.
+    above the ceiling (default: the run's coset_ceiling) it raises instead.
     """
-    _require_args(a, n)
-    ceiling = DEFAULT_ENUMERATION_CEILING if ceiling is None else ceiling
-    if n > ceiling:
-        raise EnumerationCeilingError(
-            f"modulus {n} is above the enumeration ceiling {ceiling}; "
-            "large subjects should go through the order criterion"
-        )
+    _require_args(a, n, ceiling)
     a %= n
     seen = bytearray(n)
     cosets = []
@@ -116,13 +120,8 @@ def coset_count(
     contract anyway: the definitional route is reserved for moduli small
     enough to enumerate, larger ones should go through the order criterion.
     """
-    _require_args(a, n)
-    ceiling = DEFAULT_ENUMERATION_CEILING if ceiling is None else ceiling
-    if n > ceiling:
-        raise EnumerationCeilingError(
-            f"modulus {n} is above the enumeration ceiling {ceiling}"
-        )
-    f = factorization if factorization is not None else factorize(n)
+    _require_args(a, n, ceiling)
+    f = factorize(n) if factorization is None else require_subject(factorization, n)
     total = 0
     for d, phi_d, h_d in divisor_order_profile(a, f):
         if d == 1:

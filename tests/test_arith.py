@@ -240,6 +240,11 @@ class TestMultOrder:
         f = factorize(2047)
         assert mult_order(2, 2047, factorization=f).order == 11
 
+    def test_factorization_of_another_subject_rejected(self):
+        # 341's factors would give order 10; the order mod 2047 is 11
+        with pytest.raises(DomainError, match="341"):
+            mult_order(2, 2047, factorization=factorize(341))
+
 
 class TestPrimesUpto:
     def test_counts(self):

@@ -88,6 +88,13 @@ class TestCriterionTest:
         assert result.ok is True
         assert result.h == 364
 
+    def test_factorization_of_another_subject_rejected(self):
+        with pytest.raises(DomainError, match="341"):
+            overpseudoprime_by_order_criterion(2, 2047, factorization=factorize(341))
+        # classify passes its factorization through the criterion
+        with pytest.raises(DomainError, match="341"):
+            classify(2, 2047, factorization=factorize(341))
+
 
 class TestClassify:
     def test_prime(self):
@@ -163,6 +170,11 @@ class TestSuperPseudoprime:
         assert is_superpseudoprime(2, 2047)
         assert is_superpseudoprime(2, 341)  # all of 11, 31, 341 pass Fermat
         assert not is_superpseudoprime(2, 561)  # 2^32 mod 33 = 4
+
+    def test_factorization_of_another_subject_rejected(self):
+        # 341's divisors all pass Fermat; they say nothing about 2047
+        with pytest.raises(DomainError, match="341"):
+            is_superpseudoprime(2, 2047, factorization=factorize(341))
 
     def test_overpseudoprimes_are_superpseudoprimes(self):
         for n in overpseudoprimes_upto(2, 10**5):

@@ -4,8 +4,9 @@ Each case keeps the exit code, stdout and stderr of the text report, and
 stdout of the --format json report with its timing_ms field removed (the
 one field that varies between runs). The cases cover `cofactor` for bases
 2, 3, 5, 6 and 10 at every composite n with a^n <= 2^128, every `construct`
-kind on the parameters used in test_construct.py, and `identity` and
-`bound` at n = 9, 35, 45 and 70.
+kind on the parameters used in test_construct.py, `identity` and `bound`
+at n = 9, 35, 45 and 70, and `classify`, `cosets`, `scan` and `ordinal`
+on a few subjects, among them 604562901, whose order computation needs rho.
 
 Record the file again only when an output change is intended:
 
@@ -26,7 +27,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from oracles import naive_is_prime  # noqa: E402
-from primover import arith  # noqa: E402
 from primover.cli import main  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -57,6 +57,9 @@ def cases() -> list[tuple[str, ...]]:
     out += [("construct", "fermat", "--base", str(a), "2") for a in (3, 4, 6)]
     for n in (9, 35, 45, 70):
         out += [("identity", str(n)), ("bound", str(n))]
+    for n in ("2047", "341", "2^32+1", "2^67-1", "8727391", "604562901", "65537", "10"):
+        out.append(("classify", n))
+    out += [("cosets", "--base", "2", "7"), ("scan", "3000"), ("ordinal", "2047")]
     return out
 
 
@@ -75,7 +78,6 @@ def run(argv: tuple[str, ...]) -> dict:
                 record["json"] = _TIMING.sub("", out.getvalue())
         return record
     finally:
-        arith.set_cache(None)
         os.environ.update(saved)
 
 

@@ -1,12 +1,19 @@
 import json
 import os
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from primover import arith
-from primover.arith import Factorization, FactorizationCache, factorize
+import primover.classification
+from primover.arith import (
+    Factorization,
+    FactorizationCache,
+    factorize,
+    order_tower,
+    use_config,
+)
 from primover.cli import build_parser, main, parse_number
 from primover.config import Config, load_config
 from primover.construct import cofactor_bound_report
@@ -14,13 +21,10 @@ from primover.construct import cofactor_bound_report
 
 @pytest.fixture(autouse=True)
 def isolated_runtime(monkeypatch):
-    # CLI runs read os.environ and install a process-global cache; keep each
-    # test hermetic
+    # CLI runs read os.environ; keep each test hermetic
     for key in list(os.environ):
         if key.startswith("PRIMOVER_"):
             monkeypatch.delenv(key)
-    yield
-    arith.set_cache(None)
 
 
 def run_cli(capsys, *argv):
@@ -183,8 +187,8 @@ class TestFactorizationCacheFile:
         # validation, so use the true factors but a poisoned trial bound
         cache = FactorizationCache(path)
         cache.put(factorize(4294967297))
-        arith.set_cache(FactorizationCache(path))
-        got = factorize(4294967297, trial_bound=10, rho_budget=1)
+        with use_config(Config(cache_path=path)):
+            got = factorize(4294967297, trial_bound=10, rho_budget=1)
         assert got.factors == ((641, 1), (6700417, 1))
 
 
@@ -377,7 +381,6 @@ class TestCliContracts:
     def test_cache_persists_across_runs(self, capsys, tmp_path):
         path = str(tmp_path / "factors.txt")
         doc1 = run_json(capsys, "--cache", path, "classify", "4294967297")
-        arith.set_cache(None)
         assert "4294967297 641 6700417" in (tmp_path / "factors.txt").read_text()
         doc2 = run_json(capsys, "--cache", path, "classify", "4294967297")
         assert doc1["result"] == doc2["result"]
@@ -396,3 +399,97 @@ class TestCliContracts:
             "bound",
         ):
             assert verb in text
+
+
+# --- every setting reaches the code it governs ----------------------------
+# Each check runs the CLI with the setting in the environment and shows a
+# behaviour that only the setting explains; order_tower's cache is cleared
+# first where a cached order would skip the factorization under test.
+
+
+def _check_coset_ceiling(capsys, monkeypatch, tmp_path):
+    # the cofactor of 2^35 - 1 is 8727391; its verdict drops the coset count
+    code, out, _ = run_cli(capsys, "cofactor", "35")
+    assert code == 0 and "r = 249354" in out
+    monkeypatch.setenv("PRIMOVER_COSET_CEILING", "100")
+    code, out, _ = run_cli(capsys, "cofactor", "35")
+    assert code == 0 and "8727391 to base 2: overpseudoprime" in out
+    assert "r = " not in out
+    code, out, _ = run_cli(capsys, "construct", "two-prime", "5", "7")
+    assert code == 0 and "r = " not in out
+
+
+def _check_trial_bound(capsys, monkeypatch, tmp_path):
+    # 641 falls to trial division at the default bound, not at 10
+    monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
+    order_tower.cache_clear()
+    assert run_cli(capsys, "classify", "2^32+1")[0] == 0
+    monkeypatch.setenv("PRIMOVER_TRIAL_BOUND", "10")
+    order_tower.cache_clear()
+    code, _, err = run_cli(capsys, "classify", "2^32+1")
+    assert code == 2 and "budget exhausted" in err
+
+
+def _check_rho_budget(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
+    code, _, err = run_cli(capsys, "classify", "2^67-1")
+    assert code == 2 and "budget exhausted" in err
+    # 604562901 = 3 * 201520967, and only the factorization of
+    # 201520966 = 2 * 10007 * 10069 under the order computation needs rho
+    order_tower.cache_clear()
+    code, _, err = run_cli(capsys, "classify", "604562901")
+    assert code == 2 and "budget exhausted for 201520966" in err
+
+
+def _check_workers(capsys, monkeypatch, tmp_path):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+    monkeypatch.setenv("PRIMOVER_WORKERS", "2")
+    assert run_cli(capsys, "scan", "3000")[0] == 0
+    assert sizes == [2]
+
+
+def _check_cache_path(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "factors.txt"
+    monkeypatch.setenv("PRIMOVER_CACHE_PATH", str(path))
+    assert run_cli(capsys, "classify", "4294967297")[0] == 0
+    assert "4294967297 641 6700417" in path.read_text()
+
+
+def _check_deep_threshold(capsys, monkeypatch, tmp_path):
+    assert run_cli(capsys, "ordinal", "2047")[0] == 0
+    monkeypatch.setenv("PRIMOVER_DEEP_THRESHOLD", "1000")
+    code, _, err = run_cli(capsys, "ordinal", "2047")
+    assert code == 1 and "--deep" in err
+
+
+_SETTING_CHECKS = {
+    "coset_ceiling": _check_coset_ceiling,
+    "trial_bound": _check_trial_bound,
+    "rho_budget": _check_rho_budget,
+    "workers": _check_workers,
+    "cache_path": _check_cache_path,
+    "deep_threshold": _check_deep_threshold,
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(Config)])
+def test_every_setting_takes_effect(name, capsys, monkeypatch, tmp_path):
+    # a new field without a check here fails, and so does a dropped one
+    assert sorted(_SETTING_CHECKS) == sorted(f.name for f in fields(Config))
+    _SETTING_CHECKS[name](capsys, monkeypatch, tmp_path)

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primover.arith import factorize, is_prime, mult_order
-from primover.cosets import (
-    DEFAULT_ENUMERATION_CEILING,
-    coset_count,
-    decompose,
-    divisor_order_profile,
-)
+from primover.config import Config
+from primover.cosets import coset_count, decompose, divisor_order_profile
 from primover.errors import DomainError, EnumerationCeilingError
 from oracles import naive_cosets, naive_order
 
@@ -52,7 +48,7 @@ class TestDecompose:
 
     def test_ceiling(self):
         with pytest.raises(EnumerationCeilingError):
-            decompose(2, DEFAULT_ENUMERATION_CEILING + 1)
+            decompose(2, Config().coset_ceiling + 1)
         with pytest.raises(EnumerationCeilingError):
             decompose(2, 10**4 + 1, ceiling=10**4)
         decompose(2, 9999, ceiling=10**4)  # just inside
@@ -109,9 +105,13 @@ class TestCosetCount:
         f = factorize(2047)
         assert coset_count(2, 2047, factorization=f) == 186
 
+    def test_factorization_of_another_subject_rejected(self):
+        with pytest.raises(DomainError, match="341"):
+            coset_count(2, 2047, factorization=factorize(341))
+
     def test_ceiling_contract(self):
         with pytest.raises(EnumerationCeilingError):
-            coset_count(2, DEFAULT_ENUMERATION_CEILING + 1)
+            coset_count(2, Config().coset_ceiling + 1)
         assert coset_count(2, 10**5 + 1, ceiling=10**6) > 0
 
     def test_profile_terms(self):
