@@ -47,11 +47,8 @@ def primes_upto(limit: int) -> list[int]:
 def smallest_factor_table(limit: int) -> list[int]:
     """table[n] = smallest prime factor of n, for 2 <= n <= limit."""
     table = list(range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if table[p] == p:
-            for m in range(p * p, limit + 1, p):
-                if table[m] == m:
-                    table[m] = p
+    for p in reversed(primes_upto(isqrt(limit))):  # the smallest prime writes last
+        table[p * p :: p] = [p] * len(range(p * p, limit + 1, p))
     return table
 
 
@@ -319,13 +316,14 @@ def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
     return h
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def order_tower(a: int, p: int, l: int) -> tuple[int, ...]:
     """Orders of a modulo p, p^2, ..., p^l.
 
     The order mod p descends from p - 1 over its primes; each lift either
     keeps the order or multiplies it by p, decided by one modular power.
-    Requires p prime, p not dividing a.
+    Requires p prime, p not dividing a. The memo is emptied as a use_config
+    block opens and closes, so no order outlives the settings it ran under.
     """
     orders = [order_descent(a, p, factorize(p - 1).primes) if p > 2 else 1]
     pk = p
@@ -466,14 +464,17 @@ def use_config(config: Config) -> Iterator[None]:
     """Run the block under config, with the cache opened from its cache_path.
 
     Every setting reaches every call made inside the block, including the
-    factorizations hidden under order computations. Blocks nest, and the
-    previous settings return on exit.
+    factorizations hidden under order computations, whose memo is emptied
+    on entry and on exit. Blocks nest, and the previous settings return on
+    exit.
     """
     cache = FactorizationCache(config.cache_path) if config.cache_path else None
     token = _RUN.set(_Run(config, cache))
+    order_tower.cache_clear()
     try:
         yield
     finally:
+        order_tower.cache_clear()
         _RUN.reset(token)
 
 

@@ -172,12 +172,11 @@ def classify(
     crit = overpseudoprime_by_order_criterion(a, n, factorization=factorization)
     r = None
     if n <= settings().coset_ceiling:
-        defn = overpseudoprime_by_coset_count(a, n, factorization=crit.factorization)
-        if defn.ok != crit.ok:
+        r = coset_count(a, n, factorization=crit.factorization)
+        if (n == r * crit.h + 1) != crit.ok:
             raise ArithmeticError(
                 f"coset count and order criterion disagree at base {a}, n {n}"
             )
-        r = defn.r
     if crit.ok:
         status, reason = Status.OVERPSEUDOPRIME, None
     else:

@@ -1,9 +1,13 @@
-"""Command line front end.
+"""Command line front end: a thin shell over the library.
 
 One verb per invocation; every verb can emit a human-readable text report
-or a single JSON document (--format json). Numbers are accepted in decimal
-or as the expressions a^n-1 / a^n+1. Exit codes: 0 success, 1 domain or
-usage error, 2 resource limit (factoring budget, enumeration ceiling).
+or a single JSON document (--format json) whose "result" is the fields of
+the verb's result record. Numbers are accepted in decimal or as the
+expressions a^n-1 / a^n+1. The flags that override a setting (--cache,
+--ceiling, --workers) are applied to the run's Config once, and handlers
+read settings only through arith.settings(). Exit codes: 0 success, 1
+domain or usage error, 2 resource limit (factoring budget, enumeration
+ceiling).
 """
 from __future__ import annotations
 
@@ -26,6 +30,29 @@ from primover.cosets import decompose
 from primover.errors import DomainError, ResourceError
 
 _EXPRESSION = re.compile(r"^(\d+)\^(\d+)([+-]1)$")
+
+# construct kind -> (help, positionals, constructor taking the base first)
+_KINDS = {
+    "fermat": ("a^(2^(n-1)) + 1, even a", ["n"], construct.verify_generalized_fermat),
+    "two-prime": (
+        "(a-1)(a^pq-1) / ((a^p-1)(a^q-1))",
+        ["p", "q"],
+        construct.two_prime_cofactor,
+    ),
+    "prime-power": (
+        "(a^(p^m)-1) / (a^(p^(m-1))-1), m >= 2",
+        ["p", "m"],
+        construct.prime_power_cofactor,
+    ),
+    "two-prime-power": (
+        "cofactor at exponent p^alpha * q^beta",
+        ["p", "alpha", "q", "beta"],
+        construct.two_prime_power_cofactor,
+    ),
+}
+
+# flag -> the Config field it overrides for this run
+_SETTING_FLAGS = {"cache": "cache_path", "ceiling": "coset_ceiling", "workers": "workers"}
 
 
 def parse_number(text: str) -> int:
@@ -97,16 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("construct", "named cofactor constructions", base=False)
     kind = p.add_subparsers(dest="kind", required=True)
-    kind_args = {
-        "fermat": ("a^(2^(n-1)) + 1, even a", ["n"]),
-        "two-prime": ("(a-1)(a^pq-1) / ((a^p-1)(a^q-1))", ["p", "q"]),
-        "prime-power": ("(a^(p^m)-1) / (a^(p^(m-1))-1), m >= 2", ["p", "m"]),
-        "two-prime-power": (
-            "cofactor at exponent p^alpha * q^beta",
-            ["p", "alpha", "q", "beta"],
-        ),
-    }
-    for name, (help_text, positionals) in kind_args.items():
+    for name, (help_text, positionals, _) in _KINDS.items():
         k = kind.add_parser(name, help=help_text)
         k.add_argument("--base", type=_number, default=2, help="the base a (default 2)")
         for arg in positionals:
@@ -133,12 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --- payload builders -----------------------------------------------------
 
 
-def _factor_pairs(f: arith.Factorization | None) -> list[list[int]] | None:
-    if f is None:
-        return None
-    return [[p, e] for p, e in f.factors]
-
-
 def _classification_payload(c: Classification) -> dict:
     ev = c.evidence
     return {
@@ -149,8 +161,8 @@ def _classification_payload(c: Classification) -> dict:
         "evidence": {
             "r": ev.r,
             "h": ev.h,
-            "factorization": _factor_pairs(ev.factorization),
-            "orders": [list(t) for t in ev.orders] if ev.orders else None,
+            "factorization": None if ev.factorization is None else ev.factorization.factors,
+            "orders": ev.orders or None,
             "reason": ev.reason,
         },
     }
@@ -178,28 +190,19 @@ def _product_text(p: construct.CofactorProduct) -> str:
     return f"{num} / {den}" if den else num
 
 
-def _verdict_payload(v: construct.ConstructionVerdict) -> dict:
-    p = v.product
-    return {
-        "product": {
-            "base": p.base,
-            "modulus_exponent": p.modulus_exponent,
-            "terms": [list(t) for t in p.terms],
-            "value": p.value,
-        },
+def _verdict_report(v: construct.ConstructionVerdict):
+    p, c = v.product, v.classification
+    payload = {
+        "product": vars(p),
         "coprimality_holds": v.coprimality_holds,
-        "classification": _classification_payload(v.classification),
+        "classification": _classification_payload(c),
     }
-
-
-def _verdict_lines(v: construct.ConstructionVerdict) -> list[str]:
-    p = v.product
     lines = [
         f"value = {p.value}",
         f"  form: {_product_text(p)}  (exponent {p.modulus_exponent})",
         f"  coprime to complementary cofactor: {'yes' if v.coprimality_holds else 'no'}",
     ]
-    return lines + ["  " + s for s in _classification_lines(v.classification)]
+    return payload, lines + ["  " + s for s in _classification_lines(c)], c.probabilistic
 
 
 # --- verb handlers --------------------------------------------------------
@@ -211,37 +214,20 @@ def _cmd_classify(args):
 
 
 def _cmd_cosets(args):
-    d = decompose(args.base, args.modulus, ceiling=args.ceiling)
-    payload = {
-        "base": d.base,
-        "modulus": d.modulus,
-        "r": d.r,
-        "h": d.h,
-        "cosets": [list(c) for c in d.cosets],
-    }
+    d = decompose(args.base, args.modulus)
     lines = [f"a = {d.base}, n = {d.modulus}: r = {d.r}, h = {d.h}"]
     for i, coset in enumerate(d.cosets, start=1):
         lines.append(f"  C{i} (size {len(coset)}): {' '.join(map(str, coset))}")
-    return payload, lines, False
+    return vars(d), lines, False
 
 
 def _cmd_cofactor(args):
-    v = construct.primitive_cofactor(args.base, args.exponent)
-    return _verdict_payload(v), _verdict_lines(v), v.classification.probabilistic
+    return _verdict_report(construct.primitive_cofactor(args.base, args.exponent))
 
 
 def _cmd_construct(args):
-    if args.kind == "fermat":
-        v = construct.verify_generalized_fermat(args.base, args.n)
-    elif args.kind == "two-prime":
-        v = construct.two_prime_cofactor(args.base, args.p, args.q)
-    elif args.kind == "prime-power":
-        v = construct.prime_power_cofactor(args.base, args.p, args.m)
-    else:
-        v = construct.two_prime_power_cofactor(
-            args.base, args.p, args.alpha, args.q, args.beta
-        )
-    return _verdict_payload(v), _verdict_lines(v), v.classification.probabilistic
+    _, positionals, build = _KINDS[args.kind]
+    return _verdict_report(build(args.base, *(getattr(args, a) for a in positionals)))
 
 
 def _progress_printer(every: int = 16) -> Callable[[int, int], None]:
@@ -263,24 +249,14 @@ def _cmd_ordinal(args):
             f"ordinal scan to {n} exceeds the threshold {cfg.deep_threshold}; "
             "pass --deep to run it"
         )
-    workers = args.workers if args.workers is not None else cfg.workers
     progress = _progress_printer() if args.deep else None
-    k = strong_pseudoprime_ordinal(args.base, n, workers=workers, progress=progress)
+    k = strong_pseudoprime_ordinal(args.base, n, workers=cfg.workers, progress=progress)
     payload = {"base": args.base, "subject": n, "ordinal": k}
     return payload, [f"{n} is strong pseudoprime #{k} to base {args.base}"], False
 
 
 def _cmd_scan(args):
-    workers = args.workers if args.workers is not None else arith.settings().workers
-    report = scan_range(args.base, args.bound, workers=workers)
-    payload = {
-        "base": report.base,
-        "bound": report.bound,
-        "strong_pseudoprimes": list(report.strong_pseudoprimes),
-        "overpseudoprime_count": report.overpseudoprime_count,
-        "prime_count": report.prime_count,
-        "primover_count": report.primover_count,
-    }
+    report = scan_range(args.base, args.bound, workers=arith.settings().workers)
     listing = ", ".join(map(str, report.strong_pseudoprimes[:25]))
     if len(report.strong_pseudoprimes) > 25:
         listing += ", ..."
@@ -292,40 +268,27 @@ def _cmd_scan(args):
         f"  primes:              {report.prime_count}",
         f"  primovers:           {report.primover_count}",
     ]
-    return payload, lines, False
+    return report._asdict(), lines, False
 
 
 def _cmd_identity(args):
     ident = construct.exponent_identity(args.n)
-    payload = {
-        "n": ident.n,
-        "signed_sum": ident.signed_sum,
-        "phi": ident.phi,
-        "holds": ident.holds,
-    }
     verdict = "holds" if ident.holds else "FAILS"
     lines = [
         f"signed exponent sum for n = {ident.n}: "
         f"{ident.signed_sum} vs phi = {ident.phi}: {verdict}"
     ]
-    return payload, lines, False
+    return ident._asdict(), lines, False
 
 
 def _cmd_bound(args):
     rep = construct.cofactor_bound_report(args.base, args.n)
-    payload = {
-        "base": rep.base,
-        "n": rep.n,
-        "value": rep.value,
-        "implied_constant": rep.implied_constant,
-        "asymptotic_regime": rep.asymptotic_regime,
-    }
     regime = "" if rep.asymptotic_regime else "  (below the asymptotic regime n >= 16)"
     lines = [
         f"cofactor of {rep.base}^{rep.n}-1: {rep.value}",
         f"  implied constant {rep.implied_constant:.4f}{regime}",
     ]
-    return payload, lines, False
+    return rep._asdict(), lines, False
 
 
 _HANDLERS = {
@@ -363,8 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     cfg = load_config(args.config)
-    if args.cache:
-        cfg.cache_path = args.cache
+    for flag, field in _SETTING_FLAGS.items():
+        if (value := getattr(args, flag, None)) is not None:
+            setattr(cfg, field, value)
 
     start = perf_counter()
     try:

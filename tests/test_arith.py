@@ -159,6 +159,12 @@ class TestFactorization:
         for n in range(2, 5000):
             assert factor_with_table(n, table) == factorize(n)
 
+    @pytest.mark.parametrize("limit", [*range(0, 201), 1023, 1024, 1025])
+    def test_smallest_factor_table_against_naive(self, limit):
+        naive = [n if n < 2 else next(d for d in range(2, n + 1) if n % d == 0)
+                 for n in range(limit + 1)]
+        assert smallest_factor_table(limit) == naive
+
 
 class TestTotients:
     def test_phi_examples(self):

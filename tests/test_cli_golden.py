@@ -7,10 +7,16 @@ one field that varies between runs). The cases cover `cofactor` for bases
 kind on the parameters used in test_construct.py, `identity` and `bound`
 at n = 9, 35, 45 and 70, and `classify`, `cosets`, `scan` and `ordinal`
 on a few subjects, among them 604562901, whose order computation needs rho.
+The settings flags --ceiling and --workers and the --base of each
+`construct` kind are covered too.
 
-Record the file again only when an output change is intended:
+Add new cases to the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+It records only the cases the file lacks, and exits 1 without writing if
+an existing case's output has changed. To change an intended output,
+delete that entry first.
 """
 from __future__ import annotations
 
@@ -60,6 +66,15 @@ def cases() -> list[tuple[str, ...]]:
     for n in ("2047", "341", "2^32+1", "2^67-1", "8727391", "604562901", "65537", "10"):
         out.append(("classify", n))
     out += [("cosets", "--base", "2", "7"), ("scan", "3000"), ("ordinal", "2047")]
+    out += [
+        ("cosets", "--base", "2", "7", "--ceiling", "100"),
+        ("cosets", "--base", "2", "101", "--ceiling", "50"),
+        ("scan", "3000", "--workers", "2"),
+        ("ordinal", "2047", "--workers", "2"),
+        ("construct", "two-prime", "--base", "3", "5", "7"),
+        ("construct", "prime-power", "--base", "3", "5", "2"),
+        ("construct", "two-prime-power", "--base", "3", "3", "2", "5", "1"),
+    ]
     return out
 
 
@@ -95,8 +110,29 @@ def test_golden_covers_exactly_the_cases(golden):
     assert sorted(golden) == sorted(" ".join(argv) for argv in cases())
 
 
-if __name__ == "__main__":
+def record() -> int:
+    """Add the cases missing from the golden file; never rewrite one.
+
+    An existing case whose output now differs is listed and nothing is
+    written, so a changed output never becomes the baseline by accident.
+    """
+    data = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    changed = []
+    for argv in cases():
+        key = " ".join(argv)
+        got = run(argv)
+        if key not in data:
+            data[key] = got
+        elif data[key] != got:
+            changed.append(key)
+    if changed:
+        print("outputs differ from the golden file:", *changed, sep="\n  ")
+        return 1
     GOLDEN.parent.mkdir(exist_ok=True)
-    data = {" ".join(argv): run(argv) for argv in cases()}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(data)} cases to {GOLDEN}")
+    print(f"{len(data)} cases in {GOLDEN}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(record())

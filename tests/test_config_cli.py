@@ -11,12 +11,13 @@ from primover.arith import (
     Factorization,
     FactorizationCache,
     factorize,
-    order_tower,
     use_config,
 )
 from primover.cli import build_parser, main, parse_number
+from primover.classification import classify
 from primover.config import Config, load_config
 from primover.construct import cofactor_bound_report
+from primover.errors import IncompleteFactorizationError
 
 
 @pytest.fixture(autouse=True)
@@ -403,8 +404,7 @@ class TestCliContracts:
 
 # --- every setting reaches the code it governs ----------------------------
 # Each check runs the CLI with the setting in the environment and shows a
-# behaviour that only the setting explains; order_tower's cache is cleared
-# first where a cached order would skip the factorization under test.
+# behaviour that only the setting explains.
 
 
 def _check_coset_ceiling(capsys, monkeypatch, tmp_path):
@@ -422,10 +422,8 @@ def _check_coset_ceiling(capsys, monkeypatch, tmp_path):
 def _check_trial_bound(capsys, monkeypatch, tmp_path):
     # 641 falls to trial division at the default bound, not at 10
     monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
-    order_tower.cache_clear()
     assert run_cli(capsys, "classify", "2^32+1")[0] == 0
     monkeypatch.setenv("PRIMOVER_TRIAL_BOUND", "10")
-    order_tower.cache_clear()
     code, _, err = run_cli(capsys, "classify", "2^32+1")
     assert code == 2 and "budget exhausted" in err
 
@@ -436,7 +434,6 @@ def _check_rho_budget(capsys, monkeypatch, tmp_path):
     assert code == 2 and "budget exhausted" in err
     # 604562901 = 3 * 201520967, and only the factorization of
     # 201520966 = 2 * 10007 * 10069 under the order computation needs rho
-    order_tower.cache_clear()
     code, _, err = run_cli(capsys, "classify", "604562901")
     assert code == 2 and "budget exhausted for 201520966" in err
 
@@ -493,3 +490,13 @@ def test_every_setting_takes_effect(name, capsys, monkeypatch, tmp_path):
     # a new field without a check here fails, and so does a dropped one
     assert sorted(_SETTING_CHECKS) == sorted(f.name for f in fields(Config))
     _SETTING_CHECKS[name](capsys, monkeypatch, tmp_path)
+
+
+def test_cached_order_does_not_outlive_its_run():
+    # 604562901 = 3 * 201520967: the order of 2 mod 201520967 needs rho on
+    # 201520966, so a run with a budget of 1 must stop there even after an
+    # earlier call has computed that order
+    classify(2, 604562901)
+    with use_config(Config(rho_budget=1)):
+        with pytest.raises(IncompleteFactorizationError):
+            classify(2, 604562901)
