@@ -171,6 +171,11 @@ def _trial_primes(bound: int) -> tuple[int, ...]:
     return tuple(primes_upto(bound))
 
 
+# built at import for the default bound, so that a process's first
+# factorization does not pay for the sieve
+_trial_primes(Config().trial_bound)
+
+
 class _BudgetExhausted(Exception):
     pass
 

@@ -10,10 +10,10 @@ pseudoprime predicates, range scans, and ordinal queries.
 from __future__ import annotations
 
 import multiprocessing
+from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
@@ -25,8 +25,8 @@ from primover.arith import (
     factorize,
     mult_order,
     order_descent,
-    order_tower,
     prime_power_orders,
+    primes_upto,
     require_subject,
     settings,
     smallest_factor_table,
@@ -201,9 +201,10 @@ def classify(
 def is_strong_pseudoprime(a: int, n: int) -> bool:
     """Composite n passing the strong probable-prime test to base a.
 
-    Even or tiny n, primes, and multiples of the base all return False.
+    A base below 2, even or tiny n, primes, and multiples of the base all
+    return False.
     """
-    if n < 3 or n % 2 == 0 or gcd(a, n) > 1:
+    if a < 2 or n < 3 or n % 2 == 0 or gcd(a, n) > 1:
         return False
     if check_prime(n).value:
         return False
@@ -228,84 +229,178 @@ def is_superpseudoprime(
     )
 
 
-# --- range scanning -------------------------------------------------------
-
-_SEGMENT = 1 << 22
-
-# mark states: 0 prime, 1 composite that may be a pseudoprime, 2 ruled out
-_RULED_OUT = b"\x02"
-_LIFT = bytes.maketrans(b"\x00", b"\x01")
-_MAY_PASS = bytes.maketrans(b"\x02", b"\x00")
+# --- order atoms -----------------------------------------------------------
+# A prime power dividing a Fermat pseudoprime n to base a gives a an order
+# that divides n - 1. The strong-pseudoprime enumeration and the
+# overpseudoprime census build their numbers from the same atoms: every odd
+# prime up to isqrt(bound) with its order tower, and primes above it found by
+# walking a progression for each order h.
 
 
-def _sieve_table(a: int, bound: int) -> list[tuple[int, int]]:
-    """Odd sieving primes q <= isqrt(bound) + 1, each with ord_q(a).
+def _seeds(a: int, bound: int, table: list[int]) -> list[tuple[int, int, int]]:
+    """(p, e, h) for every odd prime p <= isqrt(bound) not dividing a.
 
-    The order is 0 when q divides a. Orders come from a local factor table
-    of q - 1, so no factorization cache or order cache is touched.
+    h = ord_p(a), and e is the largest exponent with p^e <= bound at which
+    the order is still h. Beyond it the order gains the factor p, which no
+    pseudoprime allows, as p cannot divide n - 1. table is a smallest-factor
+    table up to isqrt(bound).
     """
-    limit = isqrt(bound) + 1
-    table = smallest_factor_table(limit)
+    seeds = []
+    for p in range(3, isqrt(bound) + 1, 2):
+        if table[p] != p or a % p == 0:
+            continue
+        h = order_descent(a, p, factor_with_table(p - 1, table).primes)
+        e = 1
+        pk = p
+        while pk * p <= bound and pow(a, h, pk * p) == 1:
+            pk *= p
+            e += 1
+        seeds.append((p, e, h))
+    return seeds
+
+
+def _progression(a: int, h: int, lo: int, limit: int) -> range:
+    """The candidates in [lo, limit] for a prime q of order h.
+
+    Such a q divides a^h - 1, and q = 1 (mod lcm(2, h)).
+    """
+    if h < limit.bit_length():
+        limit = min(limit, a**h - 1)
+    step = lcm(2, h)
+    return range(lo + (1 - lo) % step, limit + 1, step)
+
+
+# while a^h - 1 has at most about this many bits, one reduction of it is
+# cheaper than pow(a, h, q)
+_SMALL_POWER_BITS = 2048
+
+
+def _walk(a: int, h: int, candidates: range, table: list[int]) -> list[int]:
+    """The primes among candidates at which a has order exactly h.
+
+    table is a smallest-factor table up to at least h.
+    """
+    if a.bit_length() * h <= _SMALL_POWER_BITS:
+        power = a**h - 1
+        divisors = [q for q in candidates if power % q == 0]
+    else:
+        divisors = [q for q in candidates if pow(a, h, q) == 1]
+    if not divisors:
+        return []
+    h_primes = factor_with_table(h, table).primes
     return [
-        (q, order_descent(a, q, factor_with_table(q - 1, table).primes) if a % q else 0)
-        for q in range(3, limit + 1, 2)
-        if table[q] == q
+        q
+        for q in divisors
+        if all(pow(a, h // r, q) != 1 for r in h_primes) and check_prime(q).value
     ]
 
 
-def _segment_survivors(
-    base: int, lo: int, hi: int, sieve: list[tuple[int, int]]
-) -> tuple[list[int], int]:
-    """Strong pseudoprimes to base in [lo, hi), plus the prime count there.
+# --- strong pseudoprimes by enumeration ------------------------------------
 
-    The segment sieve proves compositeness, so survivors are certified
-    strong pseudoprimes, not merely probable ones. While it marks the
-    multiples of each sieving prime q it also rules out most of them
-    (Pomerance-Selfridge-Wagstaff). A strong pseudoprime n is a Fermat
-    pseudoprime, so h = ord_q(base) divides n - 1 for every prime q | n.
-    As h | q - 1, q and h are coprime, so by CRT n = q (mod q*h), and as n
-    is odd, n = q (mod q*lcm(2, h)). Multiples of q outside that class are
-    marked ruled out; multiples of a q dividing the base are all ruled out,
-    since a strong pseudoprime is coprime to its base. Only the composites
-    that no sieving prime rules out get the full strong test.
+# a search node with at most this many completions left tests them all
+_COMPLETIONS = 32
+
+
+def _enumerate_strong_pseudoprimes(
+    a: int, bound: int, progress: Callable[[int, int], None] | None = None
+) -> list[int]:
+    """Every strong pseudoprime to base a up to bound, in order.
+
+    Pinch's method. A strong pseudoprime n is a Fermat pseudoprime, so the
+    order of a modulo each of its prime powers divides n - 1. Hence no
+    prime of n divides one of those orders, and n = 1 (mod L) with
+    L = lcm(2, orders). A prime P > isqrt(bound) of n has exponent 1, and
+    n = k * P with h = ord_P(a) dividing k - 1, so k >= lcm(2, h) + 1 and
+    h <= isqrt(bound); walking P = 1 (mod lcm(2, h)) up to
+    bound // (lcm(2, h) + 1) finds every such P.
+
+    A depth-first search multiplies atoms from the largest down, keeping
+    the product s and L. It tests s when s is composite and s = 1 (mod L).
+    Once (bound // s) // L is at most _COMPLETIONS, it tests every
+    t = s^-1 (mod L) with 1 < t <= bound // s and stops; otherwise it goes
+    on to smaller atoms. Every number tested is composite by construction,
+    so the list is certified. progress(done, total) counts walk steps and
+    ends with done == total.
     """
-    prime_count = 1 if lo <= 2 < hi else 0
+    root = isqrt(bound)
+    table = smallest_factor_table(root)
+    atoms = _seeds(a, bound, table)
+    walks = [
+        (h, _progression(a, h, root + 1, bound // (lcm(2, h) + 1)))
+        for h in range(1, root + 1)
+    ]
+    total = sum(len(candidates) for _, candidates in walks)
+    stride = total // 64 + 1  # at most 64 reports before the last
+    done = 0
+    for h, candidates in walks:
+        atoms.extend((q, 1, h) for q in _walk(a, h, candidates, table))
+        before, done = done, done + len(candidates)
+        if progress is not None and before // stride < done // stride and done < total:
+            progress(done, total)
+    if progress is not None:
+        progress(total, total)
+
+    atoms.sort()
+    primes = [q for q, _, _ in atoms]
+    found: set[int] = set()
+
+    def search(end: int, s: int, L: int) -> None:
+        # the atoms below index end are smaller than every prime of s
+        for i in range(bisect_right(primes, bound // s, 0, end) - 1, -1, -1):
+            q, e_max, h = atoms[i]
+            if L % q == 0 or gcd(h, s) != 1:
+                continue
+            L_q = lcm(L, h)
+            v = s
+            for e in range(1, e_max + 1):
+                v *= q
+                if v > bound:
+                    break
+                if (s > 1 or e > 1) and v % L_q == 1 and _strong_probable(v, a):
+                    found.add(v)
+                m = bound // v
+                if m // L_q > _COMPLETIONS:
+                    search(i, v, L_q)
+                    continue
+                t0 = pow(v, -1, L_q)
+                for t in range(t0 if t0 > 1 else t0 + L_q, m + 1, L_q):
+                    if _strong_probable(v * t, a):
+                        found.add(v * t)
+
+    search(len(atoms), 1, 2)
+    return sorted(found)
+
+
+# --- prime count -----------------------------------------------------------
+
+_SEGMENT = 1 << 22
+
+
+def _segment_prime_count(lo: int, hi: int, primes: list[int]) -> int:
+    """The number of primes in [lo, hi).
+
+    A segment sieve over the odd numbers; primes holds the odd primes up to
+    at least isqrt(hi - 1), ascending.
+    """
+    count = 1 if lo <= 2 < hi else 0
     start = max(3, lo) | 1
     if start >= hi:
-        return [], prime_count
+        return count
     m = (hi - start + 1) // 2
     marks = bytearray(m)
-    for q, h in sieve:
+    for q in primes:
         if q * q >= hi:
             break
         first = max(q * q, (start + q - 1) // q * q)
         if first % 2 == 0:
             first += q
-        if first >= hi:
-            continue
         j0 = (first - start) // 2
-        ruled_out = _RULED_OUT * len(range(j0, m, q))
-        if h == 0:
-            marks[j0::q] = ruled_out
-            continue
-        step = q * lcm(2, h)
-        may_pass = slice((first + (q - first) % step - start) // 2, m, step // 2)
-        kept = marks[may_pass]
-        marks[j0::q] = ruled_out
-        marks[may_pass] = kept.translate(_LIFT)
-    prime_count += marks.count(0)
-    pseudo = [
-        n
-        for n in compress(range(start, start + 2 * m, 2), marks.translate(_MAY_PASS))
-        if _strong_probable(n, base)
-    ]
-    return pseudo, prime_count
+        marks[j0::q] = b"\x01" * len(range(j0, m, q))
+    return count + marks.count(0)
 
 
-def _segment_job(
-    args: tuple[int, int, int, list[tuple[int, int]]]
-) -> tuple[list[int], int]:
-    return _segment_survivors(*args)
+def _segment_job(args: tuple[int, int, list[int]]) -> int:
+    return _segment_prime_count(*args)
 
 
 def strong_pseudoprimes_upto(
@@ -317,27 +412,30 @@ def strong_pseudoprimes_upto(
 ) -> tuple[list[int], int]:
     """All strong pseudoprimes to base a up to bound, and pi(bound).
 
-    Work is split into fixed segments; with workers > 1 the segments run in
-    a process pool of at most one process per segment and are merged in
-    order, so the output is identical either way.
+    The list comes from the enumeration. pi(bound) comes from a segment
+    sieve split into fixed segments; with workers > 1 the segments run in a
+    process pool of at most one process per segment. progress(done, total)
+    is called once per segment, in order, so the output is identical either
+    way.
     """
+    if a < 2:
+        raise DomainError("base must be at least 2")
     if bound < 2:
         return [], 0
-    sieve = _sieve_table(a, bound)
+    found = _enumerate_strong_pseudoprimes(a, bound)
+    primes = primes_upto(isqrt(bound))[1:]
     jobs = [
-        (a, lo, min(lo + _SEGMENT, bound + 1), sieve)
+        (lo, min(lo + _SEGMENT, bound + 1), primes)
         for lo in range(0, bound + 1, _SEGMENT)
     ]
-    found: list[int] = []
     prime_count = 0
     parallel = workers > 1 and len(jobs) > 1
     with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
-        results = pool.imap(_segment_job, jobs) if parallel else map(_segment_job, jobs)
-        for job, (pseudo, count) in zip(jobs, results):
-            found.extend(pseudo)
+        counts = pool.imap(_segment_job, jobs) if parallel else map(_segment_job, jobs)
+        for job, count in zip(jobs, counts):
             prime_count += count
             if progress is not None:
-                progress(job[2] - 1, bound)
+                progress(job[1] - 1, bound)
     return found, prime_count
 
 
@@ -383,13 +481,18 @@ def strong_pseudoprime_ordinal(
 ) -> int:
     """1-based position of n in the ordered strong pseudoprimes to base a.
 
-    Runs a full certified scan up to n, so cost is linear in n.
+    Enumerates the strong pseudoprimes up to n and counts no primes. The
+    walk above isqrt(n) dominates the cost, about 0.02 * n steps for base
+    2; progress(done, total) counts its steps. workers is accepted for
+    symmetry with scan and not used: the enumeration runs in one process.
     """
+    if a < 2:
+        raise DomainError("base must be at least 2")
     if not is_strong_pseudoprime(a, n):
         raise DomainError(f"{n} is not a strong pseudoprime to base {a}")
-    pseudo, _ = strong_pseudoprimes_upto(a, n, workers=workers, progress=progress)
+    pseudo = _enumerate_strong_pseudoprimes(a, n, progress)
     if not pseudo or pseudo[-1] != n:
-        raise ArithmeticError(f"scan to {n} failed to end at {n}")
+        raise ArithmeticError(f"enumeration to {n} failed to end at {n}")
     return len(pseudo)
 
 
@@ -400,13 +503,14 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     """Every overpseudoprime to base a up to bound, by direct construction.
 
     All prime power factors of an overpseudoprime share one order h, so the
-    census groups prime powers by the order they give the base and
-    multiplies within each class. A composite n <= bound has its smallest
-    prime p <= isqrt(bound), so only those primes seed classes. A larger
-    prime q | n has exponent 1, and in class h, q = 1 (mod lcm(2, h)),
+    census groups the seeds by the order they give the base and multiplies
+    within each class. A composite n <= bound has its smallest prime
+    p <= isqrt(bound), so only those primes seed classes. A larger prime
+    q | n has exponent 1, and in class h, q = 1 (mod lcm(2, h)),
     q | a^h - 1 and q <= bound // p_min(h), the smallest seed of the class;
     walking that progression for primes of order exactly h loses no class
-    member. No pseudoprime scan is involved: an independent check on scans.
+    member. No strong test is involved: an independent check on the
+    strong-pseudoprime list, whose enumeration shares only these atoms.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
@@ -417,30 +521,11 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
 
     # atom = (prime, max exponent keeping the same order within bound)
     classes: dict[int, list[tuple[int, int]]] = {}
-    for p in range(3, root + 1, 2):
-        if table[p] != p or a % p == 0:
-            continue
-        h = order_descent(a, p, factor_with_table(p - 1, table).primes)
-        e = 1
-        pk = p
-        while pk * p <= bound and pow(a, h, pk * p) == 1:
-            pk *= p
-            e += 1
+    for p, e, h in _seeds(a, bound, table):
         classes.setdefault(h, []).append((p, e))
-
     for h, atoms in classes.items():
-        limit = bound // atoms[0][0]
-        if h < limit.bit_length():
-            limit = min(limit, a**h - 1)
-        step = lcm(2, h)
-        h_primes = factor_with_table(h, table).primes
-        atoms.extend(
-            (q, 1)
-            for q in range(root + 1 + -root % step, limit + 1, step)
-            if pow(a, h, q) == 1
-            and check_prime(q).value
-            and all(pow(a, h // r, q) != 1 for r in h_primes)
-        )
+        candidates = _progression(a, h, root + 1, bound // atoms[0][0])
+        atoms.extend((q, 1) for q in _walk(a, h, candidates, table))
 
     found: list[int] = []
 

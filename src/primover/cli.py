@@ -236,7 +236,7 @@ def _progress_printer(every: int = 16) -> Callable[[int, int], None]:
     def report(done: int, total: int) -> None:
         state["count"] += 1
         if state["count"] % every == 0 or done >= total:
-            print(f"  scanned {done:,} / {total:,}", file=sys.stderr)
+            print(f"  walked {done:,} / {total:,}", file=sys.stderr)
 
     return report
 
@@ -246,11 +246,11 @@ def _cmd_ordinal(args):
     cfg = arith.settings()
     if n > cfg.deep_threshold and not args.deep:
         raise DomainError(
-            f"ordinal scan to {n} exceeds the threshold {cfg.deep_threshold}; "
+            f"ordinal up to {n} exceeds the threshold {cfg.deep_threshold}; "
             "pass --deep to run it"
         )
     progress = _progress_printer() if args.deep else None
-    k = strong_pseudoprime_ordinal(args.base, n, workers=cfg.workers, progress=progress)
+    k = strong_pseudoprime_ordinal(args.base, n, progress=progress)
     payload = {"base": args.base, "subject": n, "ordinal": k}
     return payload, [f"{n} is strong pseudoprime #{k} to base {args.base}"], False
 

@@ -163,3 +163,63 @@ def longhand_census(a: int, bound: int) -> tuple[int, ...]:
             continue  # nothing composite can come from a single bare prime
         grow(atoms, 0, 1, 0)
     return tuple(sorted(found))
+
+
+def longhand_strong_pseudoprimes(a: int, lo: int, hi: int) -> list[int]:
+    """Strong pseudoprimes to base a in [lo, hi), by an order-filtered
+    segment sieve and the strong test.
+
+    The sieve proves compositeness, and it rules out a multiple n of a
+    sieving prime q unless n = q (mod q * lcm(2, ord_q(a))); a q dividing a
+    rules out all of its multiples. Every composite left gets the strong
+    test. Time grows with hi - lo, plus a table of the primes up to
+    isqrt(hi - 1) with their orders.
+    """
+    assert a >= 2
+    limit = isqrt(max(hi - 1, 0))
+    sieve = []  # (q, ord_q(a)), with 0 for a q dividing a
+    for q in range(3, limit + 1, 2):
+        if not naive_is_prime(q):
+            continue
+        h = 0
+        if a % q:
+            h = m = q - 1
+            r = 2
+            while m > 1:
+                if r * r > m:
+                    r = m
+                if m % r == 0:
+                    while m % r == 0:
+                        m //= r
+                    while h % r == 0 and pow(a, h // r, q) == 1:
+                        h //= r
+                r += 1
+        sieve.append((q, h))
+
+    # marks: 0 prime, 1 composite that may pass, 2 ruled out
+    start = max(3, lo) | 1
+    if start >= hi:
+        return []
+    m = (hi - start + 1) // 2
+    marks = bytearray(m)
+    for q, h in sieve:
+        first = max(q * q, (start + q - 1) // q * q)
+        if first % 2 == 0:
+            first += q
+        if first >= hi:
+            continue
+        j0 = (first - start) // 2
+        ruled_out = b"\x02" * len(range(j0, m, q))
+        if h == 0:
+            marks[j0::q] = ruled_out
+            continue
+        step = q * h * (2 // gcd(2, h))
+        may_pass = slice((first + (q - first) % step - start) // 2, m, step // 2)
+        kept = marks[may_pass]
+        marks[j0::q] = ruled_out
+        marks[may_pass] = kept.replace(b"\x00", b"\x01")
+    return [
+        start + 2 * j
+        for j, mark in enumerate(marks)
+        if mark == 1 and naive_strong_test(a, start + 2 * j)
+    ]

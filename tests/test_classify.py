@@ -1,13 +1,13 @@
 import tracemalloc
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primover.classification
-from primover.arith import factorize, is_prime
+from primover.arith import factorize, is_prime, primes_upto
 from primover.classification import (
     Status,
     classify,
@@ -21,7 +21,12 @@ from primover.classification import (
     strong_pseudoprimes_upto,
 )
 from primover.errors import DomainError
-from oracles import longhand_census, naive_is_prime, naive_strong_test
+from oracles import (
+    longhand_census,
+    longhand_strong_pseudoprimes,
+    naive_is_prime,
+    naive_strong_test,
+)
 
 # the start of the base-2 overpseudoprime sequence, for cross-checks
 FIRST_OVERPSEUDOPRIMES = (
@@ -40,6 +45,21 @@ def longhand_to_wieferich_square(base):
 
 def longhand_upto(base, bound):
     return tuple(n for n in longhand_to_wieferich_square(base) if n <= bound)
+
+
+@lru_cache(maxsize=None)
+def longhand_spsp_to_2_20(base):
+    """The longhand strong pseudoprimes to 2^20; a smaller bound takes its prefix."""
+    return tuple(longhand_strong_pseudoprimes(base, 0, (1 << 20) + 1))
+
+
+def longhand_spsp_upto(base, bound):
+    return [n for n in longhand_spsp_to_2_20(base) if n <= bound]
+
+
+@lru_cache(maxsize=None)
+def enumerated_upto(base, bound):
+    return tuple(primover.classification._enumerate_strong_pseudoprimes(base, bound))
 
 
 class TestDefinitionalTest:
@@ -151,6 +171,12 @@ class TestStrongPseudoprime:
         assert not is_strong_pseudoprime(2, 2048)  # even
         assert not is_strong_pseudoprime(2, 1)
 
+    def test_rejects_bases_below_2_quietly(self):
+        # every odd composite passes the strong test to base 1
+        for a in (1, 0, -1):
+            assert not is_strong_pseudoprime(a, 9)
+            assert not is_strong_pseudoprime(a, 2047)
+
     def test_first_five(self):
         found, _ = strong_pseudoprimes_upto(2, 10**4)
         assert found == [2047, 3277, 4033, 4681, 8321]
@@ -191,6 +217,21 @@ class TestOrdinal:
         with pytest.raises(DomainError):
             strong_pseudoprime_ordinal(2, 65537)
 
+    @pytest.mark.parametrize("base", (1, 0, -1))
+    def test_rejects_base_below_2(self, base):
+        with pytest.raises(DomainError, match="base must be at least 2"):
+            strong_pseudoprime_ordinal(base, 9)
+        with pytest.raises(DomainError, match="base must be at least 2"):
+            strong_pseudoprime_ordinal(base, 2047)
+
+    def test_progress_reports_the_walk(self):
+        calls = []
+        assert strong_pseudoprime_ordinal(2, 1082401, progress=lambda *c: calls.append(c)) == 50
+        totals = {total for _, total in calls}
+        assert len(totals) == 1 and calls[-1][0] == calls[-1][1] > 0
+        done = [d for d, _ in calls]
+        assert done == sorted(set(done)) and len(calls) <= 65
+
 
 class TestScan:
     def test_empty_below_first(self):
@@ -210,6 +251,12 @@ class TestScan:
             scan(2, 2)
         with pytest.raises(DomainError):
             scan(1, 100)
+
+    def test_progress_once_per_segment(self, monkeypatch):
+        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+        calls = []
+        scan(2, 3000, progress=lambda *c: calls.append(c))
+        assert calls == [(1023, 3000), (2047, 3000), (3000, 3000)]
 
     def test_parallel_matches_serial(self, monkeypatch):
         # shrink segments so a small bound spans several of them
@@ -262,19 +309,57 @@ class TestScan:
         "lo, hi", (((1 << 26) - (1 << 12), 1 << 26), ((1 << 30) + 1, (1 << 30) + (1 << 11)))
     )
     def test_far_window_matches_naive(self, base, lo, hi):
-        # the sieve table a scan to hi - 1 would build, used on its last window
-        sieve = primover.classification._sieve_table(base, hi - 1)
-        found, prime_count = primover.classification._segment_survivors(base, lo, hi, sieve)
+        # the last window of an enumeration to hi - 1, against the longhand
+        # oracle and the naive filter; and the prime count of that window
         odd = range(lo | 1, hi, 2)
+        expected = [n for n in odd if naive_strong_test(base, n) and not naive_is_prime(n)]
+        assert longhand_strong_pseudoprimes(base, lo, hi) == expected
+        assert [n for n in enumerated_upto(base, hi - 1) if n >= lo] == expected
+        primes = primes_upto(isqrt(hi - 1))[1:]
+        prime_count = primover.classification._segment_prime_count(lo, hi, primes)
         assert prime_count == sum(1 for n in odd if naive_is_prime(n))
-        assert found == [
-            n for n in odd if naive_strong_test(base, n) and not naive_is_prime(n)
-        ]
 
     def test_counts_are_consistent(self):
         report = scan(2, 10**5)
         assert report.primover_count == report.prime_count + report.overpseudoprime_count
         assert report.overpseudoprime_count <= len(report.strong_pseudoprimes)
+
+
+class TestEnumeration:
+    # 4, 6, 10 and 15 have order 1 at a small prime, and 6, 10 and 15 are
+    # divisible by one, as in test_segments_match_naive
+    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 15))
+    def test_matches_longhand_to_2_20(self, base):
+        bounds = (2046, 2047, (1 << 17) + 1, 10**6 - 1, 10**6, 1 << 20)
+        for bound in bounds:
+            found, _ = strong_pseudoprimes_upto(base, bound)
+            assert found == longhand_spsp_upto(base, bound), bound
+
+    @pytest.mark.parametrize("base", (2, 3, 5, 7))
+    def test_matches_longhand_at_every_small_bound(self, base):
+        # includes every bound that is itself a strong pseudoprime, such as
+        # 121 = 11^2 (a prime-power atom) for base 3
+        enumerate_upto = primover.classification._enumerate_strong_pseudoprimes
+        for bound in range(9, 5000):
+            assert enumerate_upto(base, bound) == longhand_spsp_upto(base, bound), bound
+
+    @pytest.mark.parametrize("base", (2, 3))
+    def test_tail_matches_longhand(self, base):
+        # the far windows above hold no strong pseudoprime; this wider tail
+        # of the same enumeration to 2^26 - 1 does
+        lo, hi = (1 << 26) - (1 << 20), 1 << 26
+        expected = longhand_strong_pseudoprimes(base, lo, hi)
+        assert len(expected) >= 2
+        assert [n for n in enumerated_upto(base, hi - 1) if n >= lo] == expected
+
+    def test_prime_power_atoms(self):
+        # 1093^2 and 3511^2 are the base-2 Wieferich squares, 11^2 the base-3 one
+        assert WIEFERICH_SQUARE in strong_pseudoprimes_upto(2, WIEFERICH_SQUARE)[0]
+        assert strong_pseudoprimes_upto(3, 121)[0] == [121]
+
+    def test_base_below_2_rejected(self):
+        with pytest.raises(DomainError, match="base must be at least 2"):
+            strong_pseudoprimes_upto(1, 100)
 
 
 class TestCensus:

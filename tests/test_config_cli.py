@@ -344,6 +344,15 @@ class TestCliContracts:
         code, _, err = run_cli(capsys, "ordinal", "341")
         assert code == 1
 
+    @pytest.mark.parametrize("verb", ("ordinal", "scan"))
+    def test_base_below_2_exits_1(self, capsys, verb):
+        # every odd composite passes the strong test to base 1, so 9 would
+        # otherwise be "strong pseudoprime #1 to base 1"
+        code, out, err = run_cli(capsys, verb, "--base", "1", "9")
+        assert code == 1
+        assert out == ""
+        assert "base must be at least 2" in err
+
     def test_resource_errors_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "10000019")
         assert code == 2
