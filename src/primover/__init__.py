@@ -16,6 +16,7 @@ from primover.arith import (
     moebius,
     mult_order,
     order_tower,
+    prime_count,
     prime_power_orders,
     primes_upto,
     use_config,
@@ -42,7 +43,6 @@ from primover.construct import (
     ExponentIdentity,
     cofactor_bound_report,
     cofactor_terms,
-    evil_odious_vectors,
     exponent_identity,
     generalized_fermat,
     primitive_cofactor,

@@ -44,6 +44,34 @@ def primes_upto(limit: int) -> list[int]:
     return [i for i, b in enumerate(sieve) if b]
 
 
+def prime_count(n: int) -> int:
+    """pi(n), the number of primes <= n, by Lucy's recurrence.
+
+    S(v) counts 2..v less the composites with a prime factor below p. Each
+    prime p <= isqrt(n) takes S(v) -= S(v // p) - S(p - 1) for every value
+    v = n // i with v >= p^2, largest first, so S(n) ends as pi(n). About
+    n^(3/4) steps in O(sqrt(n)) memory.
+    """
+    if n < 2:
+        return 0
+    r = isqrt(n)
+    small = [v - 1 for v in range(r + 1)]  # small[v] = S(v) for v <= r
+    large = [0] + [n // i - 1 for i in range(1, r + 1)]  # large[i] = S(n // i)
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p is composite
+        below, p2 = small[p - 1], p * p
+        top = min(r, n // p2)
+        mid = min(top, r // p)
+        # each right side reads the values of the previous prime only
+        large[1 : mid + 1] = [large[i] - large[i * p] + below for i in range(1, mid + 1)]
+        large[mid + 1 : top + 1] = [
+            large[i] - small[n // (i * p)] + below for i in range(mid + 1, top + 1)
+        ]
+        small[p2:] = [small[v] - small[v // p] + below for v in range(p2, r + 1)]
+    return large[1]
+
+
 def smallest_factor_table(limit: int) -> list[int]:
     """table[n] = smallest prime factor of n, for 2 <= n <= limit."""
     table = list(range(limit + 1))

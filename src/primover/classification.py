@@ -14,6 +14,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
@@ -26,7 +27,7 @@ from primover.arith import (
     mult_order,
     order_descent,
     prime_power_orders,
-    primes_upto,
+    prime_count,
     require_subject,
     settings,
     smallest_factor_table,
@@ -299,10 +300,23 @@ def _walk(a: int, h: int, candidates: range, table: list[int]) -> list[int]:
 
 # a search node with at most this many completions left tests them all
 _COMPLETIONS = 32
+# the walk's progressions are dealt into this many jobs, the unit of the
+# pool and of progress reports
+_JOBS = 64
+
+
+def _walk_job(
+    a: int, table: list[int], walks: list[tuple[int, range]]
+) -> list[tuple[int, int, int]]:
+    return [(q, 1, h) for h, candidates in walks for q in _walk(a, h, candidates, table)]
 
 
 def _enumerate_strong_pseudoprimes(
-    a: int, bound: int, progress: Callable[[int, int], None] | None = None
+    a: int,
+    bound: int,
+    *,
+    workers: int = 1,
+    progress: Callable[[int, int], None] | None = None,
 ) -> list[int]:
     """Every strong pseudoprime to base a up to bound, in order.
 
@@ -314,31 +328,38 @@ def _enumerate_strong_pseudoprimes(
     h <= isqrt(bound); walking P = 1 (mod lcm(2, h)) up to
     bound // (lcm(2, h) + 1) finds every such P.
 
+    The non-empty progressions are dealt into at most _JOBS interleaved
+    jobs. With workers > 1 they run in a process pool of at most one
+    process per job. progress(done, total) is called once per job, in
+    order, counts walk steps and ends with done == total.
+
     A depth-first search multiplies atoms from the largest down, keeping
     the product s and L. It tests s when s is composite and s = 1 (mod L).
     Once (bound // s) // L is at most _COMPLETIONS, it tests every
     t = s^-1 (mod L) with 1 < t <= bound // s and stops; otherwise it goes
     on to smaller atoms. Every number tested is composite by construction,
-    so the list is certified. progress(done, total) counts walk steps and
-    ends with done == total.
+    so the list is certified.
     """
     root = isqrt(bound)
     table = smallest_factor_table(root)
     atoms = _seeds(a, bound, table)
     walks = [
-        (h, _progression(a, h, root + 1, bound // (lcm(2, h) + 1)))
+        (h, candidates)
         for h in range(1, root + 1)
+        if (candidates := _progression(a, h, root + 1, bound // (lcm(2, h) + 1)))
     ]
+    jobs = [walks[j::_JOBS] for j in range(min(_JOBS, len(walks)))]
+    walk_job = partial(_walk_job, a, table)
     total = sum(len(candidates) for _, candidates in walks)
-    stride = total // 64 + 1  # at most 64 reports before the last
     done = 0
-    for h, candidates in walks:
-        atoms.extend((q, 1, h) for q in _walk(a, h, candidates, table))
-        before, done = done, done + len(candidates)
-        if progress is not None and before // stride < done // stride and done < total:
-            progress(done, total)
-    if progress is not None:
-        progress(total, total)
+    parallel = workers > 1 and len(jobs) > 1
+    with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
+        results = pool.imap(walk_job, jobs) if parallel else map(walk_job, jobs)
+        for job, walked in zip(jobs, results):
+            atoms.extend(walked)
+            done += sum(len(candidates) for _, candidates in job)
+            if progress is not None:
+                progress(done, total)
 
     atoms.sort()
     primes = [q for q, _, _ in atoms]
@@ -371,74 +392,6 @@ def _enumerate_strong_pseudoprimes(
     return sorted(found)
 
 
-# --- prime count -----------------------------------------------------------
-
-_SEGMENT = 1 << 22
-
-
-def _segment_prime_count(lo: int, hi: int, primes: list[int]) -> int:
-    """The number of primes in [lo, hi).
-
-    A segment sieve over the odd numbers; primes holds the odd primes up to
-    at least isqrt(hi - 1), ascending.
-    """
-    count = 1 if lo <= 2 < hi else 0
-    start = max(3, lo) | 1
-    if start >= hi:
-        return count
-    m = (hi - start + 1) // 2
-    marks = bytearray(m)
-    for q in primes:
-        if q * q >= hi:
-            break
-        first = max(q * q, (start + q - 1) // q * q)
-        if first % 2 == 0:
-            first += q
-        j0 = (first - start) // 2
-        marks[j0::q] = b"\x01" * len(range(j0, m, q))
-    return count + marks.count(0)
-
-
-def _segment_job(args: tuple[int, int, list[int]]) -> int:
-    return _segment_prime_count(*args)
-
-
-def strong_pseudoprimes_upto(
-    a: int,
-    bound: int,
-    *,
-    workers: int = 1,
-    progress: Callable[[int, int], None] | None = None,
-) -> tuple[list[int], int]:
-    """All strong pseudoprimes to base a up to bound, and pi(bound).
-
-    The list comes from the enumeration. pi(bound) comes from a segment
-    sieve split into fixed segments; with workers > 1 the segments run in a
-    process pool of at most one process per segment. progress(done, total)
-    is called once per segment, in order, so the output is identical either
-    way.
-    """
-    if a < 2:
-        raise DomainError("base must be at least 2")
-    if bound < 2:
-        return [], 0
-    found = _enumerate_strong_pseudoprimes(a, bound)
-    primes = primes_upto(isqrt(bound))[1:]
-    jobs = [
-        (lo, min(lo + _SEGMENT, bound + 1), primes)
-        for lo in range(0, bound + 1, _SEGMENT)
-    ]
-    prime_count = 0
-    parallel = workers > 1 and len(jobs) > 1
-    with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
-        counts = pool.imap(_segment_job, jobs) if parallel else map(_segment_job, jobs)
-        for job, count in zip(jobs, counts):
-            prime_count += count
-            if progress is not None:
-                progress(job[1] - 1, bound)
-    return found, prime_count
-
-
 class ScanReport(NamedTuple):
     base: int
     bound: int
@@ -456,20 +409,22 @@ def scan(
     progress: Callable[[int, int], None] | None = None,
 ) -> ScanReport:
     """Census up to bound: strong pseudoprimes, overpseudoprimes among them,
-    primes, and the primover total."""
+    primes, and the primover total.
+
+    The strong pseudoprimes come from the enumeration; workers and
+    progress(done, total) apply to its walk. pi(bound) comes from
+    arith.prime_count.
+    """
     if a < 2:
         raise DomainError("base must be at least 2")
     if bound < 3:
         raise DomainError("bound must be at least 3")
-    pseudo, prime_count = strong_pseudoprimes_upto(
-        a, bound, workers=workers, progress=progress
-    )
+    pseudo = _enumerate_strong_pseudoprimes(a, bound, workers=workers, progress=progress)
     over = sum(
         1 for n in pseudo if overpseudoprime_by_order_criterion(a, n).ok
     )
-    return ScanReport(
-        a, bound, tuple(pseudo), over, prime_count, prime_count + over
-    )
+    pi = prime_count(bound)
+    return ScanReport(a, bound, tuple(pseudo), over, pi, pi + over)
 
 
 def strong_pseudoprime_ordinal(
@@ -483,14 +438,13 @@ def strong_pseudoprime_ordinal(
 
     Enumerates the strong pseudoprimes up to n and counts no primes. The
     walk above isqrt(n) dominates the cost, about 0.02 * n steps for base
-    2; progress(done, total) counts its steps. workers is accepted for
-    symmetry with scan and not used: the enumeration runs in one process.
+    2; workers and progress(done, total) apply to it, as in scan.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
     if not is_strong_pseudoprime(a, n):
         raise DomainError(f"{n} is not a strong pseudoprime to base {a}")
-    pseudo = _enumerate_strong_pseudoprimes(a, n, progress)
+    pseudo = _enumerate_strong_pseudoprimes(a, n, workers=workers, progress=progress)
     if not pseudo or pseudo[-1] != n:
         raise ArithmeticError(f"enumeration to {n} failed to end at {n}")
     return len(pseudo)

@@ -133,11 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ordinal", "position of N among strong pseudoprimes to the base")
     p.add_argument("subject", type=_number)
     p.add_argument("--deep", action="store_true", help="allow long scans")
-    p.add_argument("--workers", type=int, help="scan worker processes")
+    p.add_argument("--workers", type=int, help="worker processes for the walk")
 
     p = add("scan", "census of pseudoprimes and primovers up to a bound")
     p.add_argument("bound", type=_number)
-    p.add_argument("--workers", type=int, help="scan worker processes")
+    p.add_argument("--workers", type=int, help="worker processes for the walk")
 
     p = add("identity", "signed exponent sum against phi(n)", base=False)
     p.add_argument("n", type=_number)
@@ -250,7 +250,7 @@ def _cmd_ordinal(args):
             "pass --deep to run it"
         )
     progress = _progress_printer() if args.deep else None
-    k = strong_pseudoprime_ordinal(args.base, n, progress=progress)
+    k = strong_pseudoprime_ordinal(args.base, n, workers=cfg.workers, progress=progress)
     payload = {"base": args.base, "subject": n, "ordinal": k}
     return payload, [f"{n} is strong pseudoprime #{k} to base {args.base}"], False
 

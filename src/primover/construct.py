@@ -2,9 +2,9 @@
 
 Every construction is the cyclotomic value Phi_n(a), written as an
 inclusion-exclusion quotient of numbers a^d - 1 over divisors d of n. The
-exponent pattern comes from binary vectors split by popcount parity:
-even-parity (evil) vectors index numerator terms, odd-parity (odious)
-vectors denominator terms. The named constructions (two-prime, prime-power,
+exponent n/d comes from each squarefree divisor d of n: d with an even
+number of primes (an evil vector of exponents) gives a numerator term, odd
+(odious) a denominator term. The named constructions (two-prime, prime-power,
 two-prime-power, generalized Fermat) are this one quotient at particular
 shapes of n. The value divides a^n - 1, and it is primover exactly when it
 is coprime to n (see _verdict), except at the lone degenerate point where
@@ -68,46 +68,22 @@ class ConstructionVerdict:
         return self.classification.primover
 
 
-def evil_odious_vectors(k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """All length-k binary vectors, split by parity of their digit sum.
-
-    Returns (even_parity, odd_parity); each half has 2^(k-1) vectors and the
-    all-zeros vector sits in the even half.
-    """
-    if k < 1:
-        raise DomainError("vector length must be positive")
-    evil, odious = [], []
-    for m in range(1 << k):
-        vec = tuple((m >> (k - 1 - j)) & 1 for j in range(k))
-        if bin(m).count("1") % 2 == 0:
-            evil.append(vec)
-        else:
-            odious.append(vec)
-    return tuple(evil), tuple(odious)
-
-
 def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
     """Exponent/sign pairs for the primitive cofactor of base^f.subject - 1.
 
-    For n = p1^l1 ... pk^lk each vector (i1, ..., ik) contributes the
-    exponent p1^(l1-i1) ... pk^(lk-ik); even-parity vectors go upstairs,
-    odd-parity ones downstairs; k is capped at MAX_DISTINCT_PRIMES.
+    Phi_n(a) = prod over d | n of (a^(n/d) - 1)^mu(d), so the terms are
+    (n/d, mu(d)) over the squarefree divisors d of n: the numerator holds
+    the d with an even number of primes, the denominator the rest. k, the
+    number of distinct primes of n, is capped at MAX_DISTINCT_PRIMES.
     """
     if len(f.factors) > MAX_DISTINCT_PRIMES:
         raise ResourceError(
             f"{f.subject} has {len(f.factors)} distinct primes; "
             f"the term count 2^k is capped at k = {MAX_DISTINCT_PRIMES}"
         )
-    primes = f.primes
-    exps = [e for _, e in f.factors]
-    evil, odious = evil_odious_vectors(len(primes))
-    terms = []
-    for vectors, sign in ((evil, 1), (odious, -1)):
-        for vec in vectors:
-            e = 1
-            for p, l, i in zip(primes, exps, vec):
-                e *= p ** (l - i)
-            terms.append((e, sign))
+    terms = [(f.subject, 1)]
+    for p in f.primes:
+        terms += [(e // p, -s) for e, s in terms]
     terms.sort(key=lambda t: (-t[1], t[0]))
     return tuple(terms)
 

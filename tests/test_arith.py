@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 from math import gcd, prod
 
 import pytest
@@ -17,6 +18,7 @@ from primover.arith import (
     moebius,
     mult_order,
     order_tower,
+    prime_count,
     prime_power_orders,
     primes_upto,
     smallest_factor_table,
@@ -260,6 +262,24 @@ class TestPrimesUpto:
 
     def test_empty(self):
         assert primes_upto(1) == []
+
+
+class TestPrimeCount:
+    def test_matches_sieve_to_5000(self):
+        primes = primes_upto(5000)
+        for x in range(5001):
+            assert prime_count(x) == bisect_right(primes, x), x
+
+    def test_matches_sieve_at_powers_of_2_and_prime_squares(self):
+        primes = primes_upto((1 << 22) + 1)
+        points = [(1 << k) + d for k in range(23) for d in (-1, 0, 1)]
+        points += [p * p + d for p in primes_upto(99) for d in (-1, 0)]
+        for x in points:
+            assert prime_count(x) == bisect_right(primes, x), x
+
+    def test_published_values(self):
+        assert prime_count(10**9) == 50_847_534
+        assert prime_count(1 << 32) == 203_280_221
 
 
 @settings(max_examples=200)

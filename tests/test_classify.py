@@ -1,13 +1,13 @@
 import tracemalloc
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primover.classification
-from primover.arith import factorize, is_prime, primes_upto
+from primover.arith import factorize, is_prime, prime_count
 from primover.classification import (
     Status,
     classify,
@@ -18,7 +18,6 @@ from primover.classification import (
     overpseudoprimes_upto,
     scan,
     strong_pseudoprime_ordinal,
-    strong_pseudoprimes_upto,
 )
 from primover.errors import DomainError
 from oracles import (
@@ -178,11 +177,11 @@ class TestStrongPseudoprime:
             assert not is_strong_pseudoprime(a, 2047)
 
     def test_first_five(self):
-        found, _ = strong_pseudoprimes_upto(2, 10**4)
-        assert found == [2047, 3277, 4033, 4681, 8321]
+        found = scan(2, 10**4).strong_pseudoprimes
+        assert found == (2047, 3277, 4033, 4681, 8321)
 
     def test_matches_naive_filter(self):
-        found, _ = strong_pseudoprimes_upto(2, 10**4)
+        found = list(scan(2, 10**4).strong_pseudoprimes)
         expected = [
             n
             for n in range(3, 10**4 + 1, 2)
@@ -252,22 +251,26 @@ class TestScan:
         with pytest.raises(DomainError):
             scan(1, 100)
 
-    def test_progress_once_per_segment(self, monkeypatch):
-        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+    def test_progress_once_per_segment(self):
+        # a segment of the walk is one of its jobs: the progressions dealt
+        # to it, at most 64 of them; one report per job, in order
         calls = []
-        scan(2, 3000, progress=lambda *c: calls.append(c))
-        assert calls == [(1023, 3000), (2047, 3000), (3000, 3000)]
+        report = scan(2, 3000, progress=lambda *c: calls.append(c))
+        assert report == scan(2, 3000)
+        totals = {total for _, total in calls}
+        assert len(totals) == 1 and calls[-1][0] == calls[-1][1] > 0
+        done = [d for d, _ in calls]
+        assert done == sorted(set(done)) and 1 < len(calls) <= 64
 
-    def test_parallel_matches_serial(self, monkeypatch):
-        # shrink segments so a small bound spans several of them
-        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 14)
+    def test_parallel_matches_serial(self):
         for base in (2, 6):
             serial = scan(base, 10**5, workers=1)
             parallel = scan(base, 10**5, workers=2)
             assert serial == parallel
 
     def test_pool_is_capped_at_segment_count(self, monkeypatch):
-        # a stand-in pool that records its size and runs the jobs in-process
+        # a stand-in pool that records its size and runs the jobs in-process;
+        # at 300 the walk has 4 non-empty progressions, so 4 jobs
         sizes = []
 
         class RecordingPool:
@@ -284,25 +287,24 @@ class TestScan:
                 return map(fn, jobs)
 
         monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
-        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
-        found = strong_pseudoprimes_upto(2, 3 * (1 << 10) - 1, workers=64)
-        assert sizes == [3]
-        assert found == strong_pseudoprimes_upto(2, 3 * (1 << 10) - 1)
+        calls = []
+        report = scan(2, 300, workers=64, progress=lambda *c: calls.append(c))
+        assert sizes == [len(calls)] and 1 < len(calls) < 64
+        assert report == scan(2, 300)
 
     # 6, 10 and 15 are divisible by sieving primes, and 4, 6, 10 and 15 have
     # order 1 at one: ord_3(4) = ord_5(6) = ord_3(10) = ord_7(15) = 1
     @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 15))
-    def test_segments_match_naive(self, monkeypatch, base):
-        # 1024-wide segments, so 2*10^4 spans about twenty of them
-        monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+    def test_segments_match_naive(self, base):
+        # the list and pi against the naive loop, over every job of the walk
         bound = 2 * 10**4
-        found, prime_count = strong_pseudoprimes_upto(base, bound)
-        assert found == [
+        report = scan(base, bound)
+        assert list(report.strong_pseudoprimes) == [
             n
             for n in range(3, bound + 1, 2)
             if not naive_is_prime(n) and naive_strong_test(base, n)
         ]
-        assert prime_count == sum(1 for n in range(bound + 1) if naive_is_prime(n))
+        assert report.prime_count == sum(1 for n in range(bound + 1) if naive_is_prime(n))
 
     @pytest.mark.parametrize("base", (2, 3))
     @pytest.mark.parametrize(
@@ -315,9 +317,9 @@ class TestScan:
         expected = [n for n in odd if naive_strong_test(base, n) and not naive_is_prime(n)]
         assert longhand_strong_pseudoprimes(base, lo, hi) == expected
         assert [n for n in enumerated_upto(base, hi - 1) if n >= lo] == expected
-        primes = primes_upto(isqrt(hi - 1))[1:]
-        prime_count = primover.classification._segment_prime_count(lo, hi, primes)
-        assert prime_count == sum(1 for n in odd if naive_is_prime(n))
+        assert prime_count(hi - 1) - prime_count(lo - 1) == sum(
+            1 for n in odd if naive_is_prime(n)
+        )
 
     def test_counts_are_consistent(self):
         report = scan(2, 10**5)
@@ -332,7 +334,7 @@ class TestEnumeration:
     def test_matches_longhand_to_2_20(self, base):
         bounds = (2046, 2047, (1 << 17) + 1, 10**6 - 1, 10**6, 1 << 20)
         for bound in bounds:
-            found, _ = strong_pseudoprimes_upto(base, bound)
+            found = list(scan(base, bound).strong_pseudoprimes)
             assert found == longhand_spsp_upto(base, bound), bound
 
     @pytest.mark.parametrize("base", (2, 3, 5, 7))
@@ -354,12 +356,12 @@ class TestEnumeration:
 
     def test_prime_power_atoms(self):
         # 1093^2 and 3511^2 are the base-2 Wieferich squares, 11^2 the base-3 one
-        assert WIEFERICH_SQUARE in strong_pseudoprimes_upto(2, WIEFERICH_SQUARE)[0]
-        assert strong_pseudoprimes_upto(3, 121)[0] == [121]
+        assert WIEFERICH_SQUARE in scan(2, WIEFERICH_SQUARE).strong_pseudoprimes
+        assert scan(3, 121).strong_pseudoprimes == (121,)
 
     def test_base_below_2_rejected(self):
         with pytest.raises(DomainError, match="base must be at least 2"):
-            strong_pseudoprimes_upto(1, 100)
+            scan(1, 100)
 
 
 class TestCensus:

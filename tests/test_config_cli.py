@@ -464,10 +464,11 @@ def _check_workers(capsys, monkeypatch, tmp_path):
             return map(fn, jobs)
 
     monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(primover.classification, "_SEGMENT", 1 << 10)
+    assert run_cli(capsys, "ordinal", "2047", "--workers", "2")[0] == 0
+    assert sizes == [2]
     monkeypatch.setenv("PRIMOVER_WORKERS", "2")
     assert run_cli(capsys, "scan", "3000")[0] == 0
-    assert sizes == [2]
+    assert sizes == [2, 2]
 
 
 def _check_cache_path(capsys, monkeypatch, tmp_path):

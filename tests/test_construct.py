@@ -10,7 +10,6 @@ from primover.construct import (
     CofactorProduct,
     cofactor_bound_report,
     cofactor_terms,
-    evil_odious_vectors,
     exponent_identity,
     generalized_fermat,
     primitive_cofactor,
@@ -22,33 +21,6 @@ from primover.construct import (
 )
 from primover.errors import DomainError, ResourceError
 from oracles import moebius_cofactor, naive_phi
-
-
-class TestEvilOdiousVectors:
-    def test_k1(self):
-        evil, odious = evil_odious_vectors(1)
-        assert evil == ((0,),)
-        assert odious == ((1,),)
-
-    def test_k2(self):
-        evil, odious = evil_odious_vectors(2)
-        assert set(evil) == {(0, 0), (1, 1)}
-        assert set(odious) == {(0, 1), (1, 0)}
-
-    def test_k3_counts(self):
-        evil, odious = evil_odious_vectors(3)
-        assert len(evil) == len(odious) == 4
-        assert (0, 0, 0) in evil
-
-    def test_split_is_exhaustive(self):
-        for k in range(1, 7):
-            evil, odious = evil_odious_vectors(k)
-            assert len(evil) == len(odious) == 2 ** (k - 1)
-            assert len(set(evil) | set(odious)) == 2**k
-
-    def test_rejects_k0(self):
-        with pytest.raises(DomainError):
-            evil_odious_vectors(0)
 
 
 class TestCofactorTerms:
