@@ -4,22 +4,24 @@
     python3 scripts/bench_pair.py --parent HEAD --out BENCH_7.json \\
         --run range:701-710 --run classify-mix:711-713 [--seconds 30]
 
-The parent revision is checked out into a temporary git worktree, which is
-removed at the end. The change is this checkout, uncommitted edits included.
-For every seed of a --run, perfbench/run.py runs once on each side with the
-same seed; the side that goes first alternates from pair to pair. The output
+The parent revision's files are extracted (git archive) into a temporary
+directory, which is removed at the end. The change is this checkout,
+uncommitted edits included. For every seed of a --run, perfbench/run.py
+runs once on each side with the same seed; the side that goes first alternates from pair to pair. The output
 file gets, per workload and end-to-end metric, each side's median and
 quartiles and the number of pairs the change won, plus the seeds, both
 revisions, the core count and the Python version. Workloads already in the
 output file and not run again are kept. Exits 1 when any run is not correct.
 """
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -101,34 +103,35 @@ def main(argv=None) -> int:
     correct = True
     with tempfile.TemporaryDirectory() as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_rev)
-        try:
-            for spec_arg in args.run:
-                workload, seeds = parse_run(spec_arg)
-                pairs = []
-                for i, seed in enumerate(seeds):
-                    sides = [("parent", parent_tree), ("change", ROOT)]
-                    if i % 2:
-                        sides.reverse()
-                    pair = {"seed": seed, "first": sides[0][0]}
-                    for side, tree in sides:
-                        pair[side] = bench(tree, workload, seed, args.seconds)
-                        correct &= pair[side]["correct"]
-                    pairs.append(pair)
-                    print(f"{workload} seed {seed}: done", file=sys.stderr)
-                doc["workloads"][workload] = {
-                    "seeds": seeds,
-                    "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
-                    "metrics": summarize(pairs, better),
-                    "runs": [
-                        {"seed": p["seed"], "first": p["first"],
-                         **{s: {k: v["value"] for k, v in p[s]["metrics"].items()}
-                            for s in ("parent", "change")}}
-                        for p in pairs
-                    ],
-                }
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        archive = subprocess.run(
+            ["git", "archive", parent_rev], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_tree)
+        for spec_arg in args.run:
+            workload, seeds = parse_run(spec_arg)
+            pairs = []
+            for i, seed in enumerate(seeds):
+                sides = [("parent", parent_tree), ("change", ROOT)]
+                if i % 2:
+                    sides.reverse()
+                pair = {"seed": seed, "first": sides[0][0]}
+                for side, tree in sides:
+                    pair[side] = bench(tree, workload, seed, args.seconds)
+                    correct &= pair[side]["correct"]
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: done", file=sys.stderr)
+            doc["workloads"][workload] = {
+                "seeds": seeds,
+                "all_correct": all(p[s]["correct"] for p in pairs for s in ("parent", "change")),
+                "metrics": summarize(pairs, better),
+                "runs": [
+                    {"seed": p["seed"], "first": p["first"],
+                     **{s: {k: v["value"] for k, v in p[s]["metrics"].items()}
+                        for s in ("parent", "change")}}
+                    for p in pairs
+                ],
+            }
     out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1
 

@@ -263,14 +263,12 @@ def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
     _split(m // d, counts, budget)
 
 
-def factorize(
-    n: int, *, trial_bound: int | None = None, rho_budget: int | None = None
-) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Fully factor n >= 2: trial division, then Brent rho on what remains.
 
-    Bounds left as None and the cache come from the run's settings. Raises
-    IncompleteFactorizationError when the rho iteration budget runs out,
-    carrying the partial result.
+    The trial bound, the rho budget and the cache come from the run's
+    settings. Raises IncompleteFactorizationError when the rho iteration
+    budget runs out, carrying the partial result.
     """
     if n < 2:
         raise DomainError("factorization needs n >= 2")
@@ -279,15 +277,13 @@ def factorize(
         hit = cache.get(n)
         if hit is not None:
             return hit
-    trial_bound = config.trial_bound if trial_bound is None else trial_bound
-    rho_budget = config.rho_budget if rho_budget is None else rho_budget
 
     counts: dict[int, int] = {}
     m = n
     while m % 2 == 0:
         counts[2] = counts.get(2, 0) + 1
         m //= 2
-    for p in _trial_primes(max(trial_bound, 3)):
+    for p in _trial_primes(max(config.trial_bound, 3)):
         if p == 2:
             continue
         if p * p > m:
@@ -297,7 +293,7 @@ def factorize(
             m //= p
     if m > 1:
         try:
-            _split(m, counts, [rho_budget])
+            _split(m, counts, [config.rho_budget])
         except _BudgetExhausted:
             done = prod(p**e for p, e in counts.items())
             raise IncompleteFactorizationError(n, counts, n // done) from None
@@ -416,7 +412,9 @@ class FactorizationCache:
 
     Records loaded from disk are re-validated (recomposition and primality);
     malformed or wrong lines are skipped with a warning. put() appends under
-    a lock so concurrent writers interleave whole lines.
+    a lock so concurrent writers interleave whole lines. A file that cannot
+    be read or written costs a warning, never an error: the cache goes on
+    in memory only.
     """
 
     def __init__(self, path: str | None = None):
@@ -431,6 +429,10 @@ class FactorizationCache:
             with open(path, encoding="ascii") as fh:
                 lines = fh.readlines()
         except FileNotFoundError:
+            return
+        except (OSError, UnicodeDecodeError) as exc:
+            warnings.warn(f"ignoring cache file {path}: {exc}")
+            self._path = None
             return
         for lineno, line in enumerate(lines, start=1):
             line = line.strip()
@@ -477,8 +479,12 @@ class FactorizationCache:
                     [str(f.subject)]
                     + [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
                 )
-                with open(self._path, "a", encoding="ascii") as fh:
-                    fh.write(record + "\n")
+                try:
+                    with open(self._path, "a", encoding="ascii") as fh:
+                        fh.write(record + "\n")
+                except OSError as exc:
+                    warnings.warn(f"not writing cache file {self._path}: {exc}")
+                    self._path = None
 
     def __len__(self) -> int:
         return len(self._table)

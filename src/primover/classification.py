@@ -92,20 +92,16 @@ def _require_odd_composite(a: int, n: int) -> None:
 
 
 def overpseudoprime_by_coset_count(
-    a: int,
-    n: int,
-    *,
-    ceiling: int | None = None,
-    factorization: Factorization | None = None,
+    a: int, n: int, *, factorization: Factorization | None = None
 ) -> CosetCountTest:
     """The defining test: does n equal r * h + 1?
 
-    Inherits the coset enumeration ceiling; past it, use the order
+    Inherits the run's coset enumeration ceiling; past it, use the order
     criterion instead.
     """
     _require_odd_composite(a, n)
     f = factorization if factorization is not None else factorize(n)
-    r = coset_count(a, n, ceiling=ceiling, factorization=f)
+    r = coset_count(a, n, factorization=f)
     h = mult_order(a, n, factorization=f).order
     return CosetCountTest(n == r * h + 1, r, h)
 
@@ -212,12 +208,12 @@ def is_strong_pseudoprime(a: int, n: int) -> bool:
     return _strong_probable(n, a)
 
 
+# is_superpseudoprime refuses a subject with more divisors than this
+_MAX_DIVISORS = 10_000
+
+
 def is_superpseudoprime(
-    a: int,
-    n: int,
-    *,
-    factorization: Factorization | None = None,
-    divisor_cap: int = 10_000,
+    a: int, n: int, *, factorization: Factorization | None = None
 ) -> bool:
     """Does every divisor d > 1 of composite n satisfy a^(d-1) = 1 mod d?
 
@@ -226,7 +222,7 @@ def is_superpseudoprime(
     _require_odd_composite(a, n)
     f = factorize(n) if factorization is None else require_subject(factorization, n)
     return all(
-        pow(a, d - 1, d) == 1 for d in f.divisors(cap=divisor_cap) if d > 1
+        pow(a, d - 1, d) == 1 for d in f.divisors(cap=_MAX_DIVISORS) if d > 1
     )
 
 
@@ -315,7 +311,7 @@ def _enumerate_strong_pseudoprimes(
     a: int,
     bound: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[int]:
     """Every strong pseudoprime to base a up to bound, in order.
@@ -329,9 +325,9 @@ def _enumerate_strong_pseudoprimes(
     bound // (lcm(2, h) + 1) finds every such P.
 
     The non-empty progressions are dealt into at most _JOBS interleaved
-    jobs. With workers > 1 they run in a process pool of at most one
-    process per job. progress(done, total) is called once per job, in
-    order, counts walk steps and ends with done == total.
+    jobs. With workers > 1 (None: the run's setting) they run in a process
+    pool of at most one process per job. progress(done, total) is called
+    once per job, in order, counts walk steps and ends with done == total.
 
     A depth-first search multiplies atoms from the largest down, keeping
     the product s and L. It tests s when s is composite and s = 1 (mod L).
@@ -352,6 +348,7 @@ def _enumerate_strong_pseudoprimes(
     walk_job = partial(_walk_job, a, table)
     total = sum(len(candidates) for _, candidates in walks)
     done = 0
+    workers = settings().workers if workers is None else workers
     parallel = workers > 1 and len(jobs) > 1
     with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
         results = pool.imap(walk_job, jobs) if parallel else map(walk_job, jobs)
@@ -405,15 +402,15 @@ def scan(
     a: int,
     bound: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> ScanReport:
     """Census up to bound: strong pseudoprimes, overpseudoprimes among them,
     primes, and the primover total.
 
-    The strong pseudoprimes come from the enumeration; workers and
-    progress(done, total) apply to its walk. pi(bound) comes from
-    arith.prime_count.
+    The strong pseudoprimes come from the enumeration; workers (None: the
+    run's setting) and progress(done, total) apply to its walk. pi(bound)
+    comes from arith.prime_count.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
@@ -431,7 +428,7 @@ def strong_pseudoprime_ordinal(
     a: int,
     n: int,
     *,
-    workers: int = 1,
+    workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> int:
     """1-based position of n in the ordered strong pseudoprimes to base a.

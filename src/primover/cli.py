@@ -3,15 +3,18 @@
 One verb per invocation; every verb can emit a human-readable text report
 or a single JSON document (--format json) whose "result" is the fields of
 the verb's result record. Numbers are accepted in decimal or as the
-expressions a^n-1 / a^n+1. The flags that override a setting (--cache,
---ceiling, --workers) are applied to the run's Config once, and handlers
-read settings only through arith.settings(). Exit codes: 0 success, 1
-domain or usage error, 2 resource limit (factoring budget, enumeration
-ceiling).
+expressions a^n-1 / a^n+1. The run's Config is built once, from the
+settings file and environment with the flags that override a setting
+(--cache, --ceiling, --workers) replaced in, and every library call in the
+verb reads it through arith.settings(); no handler passes a setting on.
+`ordinal` refuses a subject above _DEEP_BOUND unless --deep is given. Exit
+codes: 0 success, 1 domain or usage error, 2 resource limit (factoring
+budget, enumeration ceiling).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -53,6 +56,10 @@ _KINDS = {
 
 # flag -> the Config field it overrides for this run
 _SETTING_FLAGS = {"cache": "cache_path", "ceiling": "coset_ceiling", "workers": "workers"}
+
+# ordinal needs --deep above this subject; the enumeration to 999828727
+# (#1282) takes 6.2 s on one core of a 2-core Xeon
+_DEEP_BOUND = 10**9
 
 
 def parse_number(text: str) -> int:
@@ -132,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ordinal", "position of N among strong pseudoprimes to the base")
     p.add_argument("subject", type=_number)
-    p.add_argument("--deep", action="store_true", help="allow long scans")
+    deep_help = "allow subjects above 10^9; report the walk on stderr"
+    p.add_argument("--deep", action="store_true", help=deep_help)
     p.add_argument("--workers", type=int, help="worker processes for the walk")
 
     p = add("scan", "census of pseudoprimes and primovers up to a bound")
@@ -243,20 +251,18 @@ def _progress_printer(every: int = 16) -> Callable[[int, int], None]:
 
 def _cmd_ordinal(args):
     n = args.subject
-    cfg = arith.settings()
-    if n > cfg.deep_threshold and not args.deep:
+    if n > _DEEP_BOUND and not args.deep:
         raise DomainError(
-            f"ordinal up to {n} exceeds the threshold {cfg.deep_threshold}; "
-            "pass --deep to run it"
+            f"ordinal up to {n} exceeds {_DEEP_BOUND}; pass --deep to run it"
         )
     progress = _progress_printer() if args.deep else None
-    k = strong_pseudoprime_ordinal(args.base, n, workers=cfg.workers, progress=progress)
+    k = strong_pseudoprime_ordinal(args.base, n, progress=progress)
     payload = {"base": args.base, "subject": n, "ordinal": k}
     return payload, [f"{n} is strong pseudoprime #{k} to base {args.base}"], False
 
 
 def _cmd_scan(args):
-    report = scan_range(args.base, args.bound, workers=arith.settings().workers)
+    report = scan_range(args.base, args.bound)
     listing = ", ".join(map(str, report.strong_pseudoprimes[:25]))
     if len(report.strong_pseudoprimes) > 25:
         listing += ", ..."
@@ -325,10 +331,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
 
-    cfg = load_config(args.config)
-    for flag, field in _SETTING_FLAGS.items():
-        if (value := getattr(args, flag, None)) is not None:
-            setattr(cfg, field, value)
+    overrides = {
+        field: value
+        for flag, field in _SETTING_FLAGS.items()
+        if (value := getattr(args, flag, None)) is not None
+    }
+    cfg = dataclasses.replace(load_config(args.config), **overrides)
 
     start = perf_counter()
     try:

@@ -2,7 +2,8 @@
 
 Settings load from an optional JSON file, then environment variables with
 the PRIMOVER_ prefix override file values. An unreadable or malformed file
-degrades to defaults with a warning, never an error.
+degrades to defaults with a warning, never an error. A Config is frozen:
+a run that needs other values builds another one (dataclasses.replace).
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ from dataclasses import dataclass, fields
 ENV_PREFIX = "PRIMOVER_"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     coset_ceiling: int = 10_000_000
     trial_bound: int = 10_000
     rho_budget: int = 5_000_000
     workers: int = 1
     cache_path: str | None = None
-    deep_threshold: int = 100_000_000
 
     def describe(self) -> str:
         return ", ".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))

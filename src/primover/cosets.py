@@ -20,7 +20,7 @@ from primover.arith import (
 from primover.errors import DomainError, EnumerationCeilingError
 
 
-def _require_args(a: int, n: int, ceiling: int | None) -> None:
+def _require_args(a: int, n: int) -> None:
     if a < 2:
         raise DomainError("base must be at least 2")
     if n <= 1:
@@ -29,7 +29,7 @@ def _require_args(a: int, n: int, ceiling: int | None) -> None:
         raise DomainError("modulus must be odd")
     if gcd(a, n) != 1:
         raise DomainError(f"base {a} and modulus {n} must be coprime")
-    ceiling = settings().coset_ceiling if ceiling is None else ceiling
+    ceiling = settings().coset_ceiling
     if n > ceiling:
         raise EnumerationCeilingError(
             f"modulus {n} is above the enumeration ceiling {ceiling}; "
@@ -49,17 +49,15 @@ class CosetDecomposition:
         return [len(c) for c in self.cosets]
 
 
-def decompose(
-    a: int, n: int, *, ceiling: int | None = None
-) -> CosetDecomposition:
+def decompose(a: int, n: int) -> CosetDecomposition:
     """Enumerate every coset, each listed from its least element.
 
     Residues sharing a factor with n are included (their orbits are the
     cosets of a modulo the complementary divisor, scaled), so the cosets
     partition {1, ..., n-1} and the sizes sum to n - 1. Cost is linear in n;
-    above the ceiling (default: the run's coset_ceiling) it raises instead.
+    above the run's coset_ceiling it raises instead.
     """
-    _require_args(a, n, ceiling)
+    _require_args(a, n)
     a %= n
     seen = bytearray(n)
     cosets = []
@@ -102,11 +100,7 @@ def divisor_order_profile(
 
 
 def coset_count(
-    a: int,
-    n: int,
-    *,
-    ceiling: int | None = None,
-    factorization: Factorization | None = None,
+    a: int, n: int, *, factorization: Factorization | None = None
 ) -> int:
     """Number of cyclotomic cosets of a mod n, without enumerating them.
 
@@ -120,7 +114,7 @@ def coset_count(
     contract anyway: the definitional route is reserved for moduli small
     enough to enumerate, larger ones should go through the order criterion.
     """
-    _require_args(a, n, ceiling)
+    _require_args(a, n)
     f = factorize(n) if factorization is None else require_subject(factorization, n)
     total = 0
     for d, phi_d, h_d in divisor_order_profile(a, f):

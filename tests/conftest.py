@@ -24,6 +24,35 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(marker)
 
 
+def record_pools(monkeypatch) -> list[int]:
+    """The size of every process pool the walk asks for, from a stand-in
+    pool that records it and runs the jobs in-process."""
+    import primover.classification
+
+    sizes: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
+    return sizes
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    return record_pools(monkeypatch)
+
+
 # criterion number -> (description, outcome); filled in by test_acceptance
 ACCEPTANCE: dict[int, tuple[str, str]] = {}
 

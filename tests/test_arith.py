@@ -23,7 +23,9 @@ from primover.arith import (
     primes_upto,
     smallest_factor_table,
     factor_with_table,
+    use_config,
 )
+from primover.config import Config
 from primover.errors import (
     DomainError,
     IncompleteFactorizationError,
@@ -121,7 +123,8 @@ class TestFactorization:
     def test_budget_exhaustion_carries_partial(self):
         hard = 7 * 1000003 * 1000033
         with pytest.raises(IncompleteFactorizationError) as info:
-            factorize(hard, rho_budget=10)
+            with use_config(Config(rho_budget=10)):
+                factorize(hard)
         err = info.value
         assert err.subject == hard
         assert err.partial == {7: 1}

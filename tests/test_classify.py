@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primover.classification
-from primover.arith import factorize, is_prime, prime_count
+from primover.arith import factorize, is_prime, prime_count, use_config
 from primover.classification import (
     Status,
     classify,
@@ -19,6 +19,7 @@ from primover.classification import (
     scan,
     strong_pseudoprime_ordinal,
 )
+from primover.config import Config
 from primover.errors import DomainError
 from oracles import (
     longhand_census,
@@ -268,29 +269,23 @@ class TestScan:
             parallel = scan(base, 10**5, workers=2)
             assert serial == parallel
 
-    def test_pool_is_capped_at_segment_count(self, monkeypatch):
-        # a stand-in pool that records its size and runs the jobs in-process;
+    def test_pool_is_capped_at_segment_count(self, pool_sizes):
         # at 300 the walk has 4 non-empty progressions, so 4 jobs
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
         calls = []
         report = scan(2, 300, workers=64, progress=lambda *c: calls.append(c))
-        assert sizes == [len(calls)] and 1 < len(calls) < 64
+        assert pool_sizes == [len(calls)] and 1 < len(calls) < 64
         assert report == scan(2, 300)
+
+    def test_workers_come_from_the_run(self, pool_sizes):
+        with use_config(Config(workers=2)):
+            assert scan(2, 3000).strong_pseudoprimes == (2047,)
+            assert pool_sizes == [2]
+            assert strong_pseudoprime_ordinal(2, 2047) == 1
+            assert pool_sizes == [2, 2]
+            # an explicit count still wins over the run's
+            scan(2, 3000, workers=1)
+            strong_pseudoprime_ordinal(2, 2047, workers=1)
+        assert pool_sizes == [2, 2]
 
     # 6, 10 and 15 are divisible by sieving primes, and 4, 6, 10 and 15 have
     # order 1 at one: ord_3(4) = ord_5(6) = ord_3(10) = ord_7(15) = 1

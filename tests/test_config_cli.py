@@ -1,16 +1,22 @@
 import json
 import os
-from dataclasses import fields
+import subprocess
+import sys
+import warnings
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import primover.classification
+import primover
+from conftest import record_pools
 from primover.arith import (
     Factorization,
     FactorizationCache,
     factorize,
+    settings,
     use_config,
 )
 from primover.cli import build_parser, main, parse_number
@@ -79,7 +85,16 @@ class TestConfig:
         assert cfg.rho_budget == 5_000_000
         assert cfg.workers == 1
         assert cfg.cache_path is None
-        assert cfg.deep_threshold == 100_000_000
+
+    def test_run_settings_are_frozen(self):
+        # a process-wide default changed in place would leak into every
+        # later call; a run with other values builds another Config
+        with pytest.raises(FrozenInstanceError):
+            settings().rho_budget = 1
+        with use_config(Config()):
+            with pytest.raises(FrozenInstanceError):
+                settings().workers = 2
+        assert settings() == Config()
 
     def test_describe_names_every_field(self):
         text = Config().describe()
@@ -181,6 +196,27 @@ class TestFactorizationCacheFile:
         cache = FactorizationCache(str(p))
         assert cache.get(1194649) == Factorization(1194649, ((1093, 2),))
 
+    def test_unreadable_file_warns_and_keeps_memory(self, tmp_path):
+        undecodable = tmp_path / "factors.txt"
+        undecodable.write_bytes(b"2047 23 89\n\xff\n")
+        for path in (tmp_path, undecodable):  # a directory, then bad bytes
+            with pytest.warns(UserWarning, match="ignoring cache file"):
+                cache = FactorizationCache(str(path))
+            assert len(cache) == 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # in memory only, and silent
+                cache.put(factorize(2047))
+            assert cache.get(2047).factors == ((23, 1), (89, 1))
+        assert undecodable.read_bytes() == b"2047 23 89\n\xff\n"
+
+    def test_unwritable_file_warns_once(self, tmp_path):
+        cache = FactorizationCache(str(tmp_path / "absent" / "factors.txt"))
+        with pytest.warns(UserWarning, match="not writing cache file") as record:
+            cache.put(factorize(2047))
+            cache.put(factorize(341))
+        assert len(record) == 1
+        assert cache.get(341).factors == ((11, 1), (31, 1))
+
     def test_factorize_consults_active_cache(self, tmp_path):
         path = str(tmp_path / "factors.txt")
         # seed a deliberately unhelpful but valid record to prove the cache
@@ -188,8 +224,8 @@ class TestFactorizationCacheFile:
         # validation, so use the true factors but a poisoned trial bound
         cache = FactorizationCache(path)
         cache.put(factorize(4294967297))
-        with use_config(Config(cache_path=path)):
-            got = factorize(4294967297, trial_bound=10, rho_budget=1)
+        with use_config(Config(cache_path=path, trial_bound=10, rho_budget=1)):
+            got = factorize(4294967297)
         assert got.factors == ((641, 1), (6700417, 1))
 
 
@@ -372,14 +408,15 @@ class TestCliContracts:
         assert code == 0
         assert "classify" in out and "scan" in out
 
-    def test_deep_gate(self, capsys, monkeypatch):
-        monkeypatch.setenv("PRIMOVER_DEEP_THRESHOLD", "1000")
-        code, _, err = run_cli(capsys, "ordinal", "2047")
-        assert code == 1
+    def test_deep_gate(self, capsys):
+        # refused before any work: 2^32 + 1 lies above the 10^9 gate
+        code, out, err = run_cli(capsys, "ordinal", "2^32+1")
+        assert code == 1 and out == ""
         assert "--deep" in err
         code, out, err = run_cli(capsys, "ordinal", "2047", "--deep")
         assert code == 0
         assert "#1" in out
+        assert "walked" in err
 
     def test_ceiling_override_via_config_file(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
@@ -394,6 +431,26 @@ class TestCliContracts:
         assert "4294967297 641 6700417" in (tmp_path / "factors.txt").read_text()
         doc2 = run_json(capsys, "--cache", path, "classify", "4294967297")
         assert doc1["result"] == doc2["result"]
+
+    @pytest.mark.parametrize("case", ("directory", "missing-directory"))
+    def test_unusable_cache_path_warns(self, tmp_path, case):
+        # the verb runs as without a cache, and the warning goes to stderr;
+        # a subprocess, because pytest records warnings instead of printing
+        path = tmp_path if case == "directory" else tmp_path / "absent" / "factors.txt"
+        env = dict(os.environ, PYTHONPATH=str(Path(primover.__file__).parents[1]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "primover.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+
+        plain = run("classify", "2047")
+        cached = run("--cache", str(path), "classify", "2047")
+        assert cached.returncode == 0, cached.stderr
+        assert cached.stdout == plain.stdout
+        assert "UserWarning" in cached.stderr and str(path) in cached.stderr
+        assert plain.stderr == ""
 
     def test_parser_declares_every_verb(self):
         parser = build_parser()
@@ -448,22 +505,7 @@ def _check_rho_budget(capsys, monkeypatch, tmp_path):
 
 
 def _check_workers(capsys, monkeypatch, tmp_path):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
+    sizes = record_pools(monkeypatch)
     assert run_cli(capsys, "ordinal", "2047", "--workers", "2")[0] == 0
     assert sizes == [2]
     monkeypatch.setenv("PRIMOVER_WORKERS", "2")
@@ -478,20 +520,12 @@ def _check_cache_path(capsys, monkeypatch, tmp_path):
     assert "4294967297 641 6700417" in path.read_text()
 
 
-def _check_deep_threshold(capsys, monkeypatch, tmp_path):
-    assert run_cli(capsys, "ordinal", "2047")[0] == 0
-    monkeypatch.setenv("PRIMOVER_DEEP_THRESHOLD", "1000")
-    code, _, err = run_cli(capsys, "ordinal", "2047")
-    assert code == 1 and "--deep" in err
-
-
 _SETTING_CHECKS = {
     "coset_ceiling": _check_coset_ceiling,
     "trial_bound": _check_trial_bound,
     "rho_budget": _check_rho_budget,
     "workers": _check_workers,
     "cache_path": _check_cache_path,
-    "deep_threshold": _check_deep_threshold,
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primover.arith import factorize, is_prime, mult_order
+from primover.arith import factorize, is_prime, mult_order, use_config
 from primover.config import Config
 from primover.cosets import coset_count, decompose, divisor_order_profile
 from primover.errors import DomainError, EnumerationCeilingError
@@ -49,9 +49,10 @@ class TestDecompose:
     def test_ceiling(self):
         with pytest.raises(EnumerationCeilingError):
             decompose(2, Config().coset_ceiling + 1)
-        with pytest.raises(EnumerationCeilingError):
-            decompose(2, 10**4 + 1, ceiling=10**4)
-        decompose(2, 9999, ceiling=10**4)  # just inside
+        with use_config(Config(coset_ceiling=10**4)):
+            with pytest.raises(EnumerationCeilingError):
+                decompose(2, 10**4 + 1)
+            decompose(2, 9999)  # just inside
 
 
 class TestStructuralInvariants:
@@ -112,7 +113,8 @@ class TestCosetCount:
     def test_ceiling_contract(self):
         with pytest.raises(EnumerationCeilingError):
             coset_count(2, Config().coset_ceiling + 1)
-        assert coset_count(2, 10**5 + 1, ceiling=10**6) > 0
+        with use_config(Config(coset_ceiling=10**6)):
+            assert coset_count(2, 10**5 + 1) > 0
 
     def test_profile_terms(self):
         profile = dict(
