@@ -7,17 +7,18 @@ the strong pseudoprimes of `scan` and filters them by the order criterion.
 The two routes share their atoms: the primes up to the square root of the
 bound with their order towers, and the primes above it found by walking
 q = 1 (mod lcm(2, h)) for each order h. They differ in how they combine
-them: the census multiplies within one class, while the scan's enumeration
-searches across classes and keeps what passes the strong test. So their
-agreement checks the search and the criterion, not the atoms. The checks
+them: the census multiplies within one order class, while the scan's
+enumeration searches across every order with the same 2-adic valuation
+and keeps what passes the strong test. So their agreement checks the
+search and the criterion, not the atoms. The checks
 that share nothing with the package are the longhand strong-pseudoprime
 oracle in tests/oracles.py and the benchmark's own oracle.
 
 The script runs both routes by default and diffs the lists; it exits 1 when
 they differ. Both routes include the bound itself. On one core of a 2-core
-Xeon, base 2 to 2^24 takes 0.02 s for the census and 0.24 s for the scan;
+Xeon, base 2 to 2^24 takes 0.02 s for the census and 0.13 s for the scan;
 to 10^9 the census takes 0.8 s in 18 MiB (663 overpseudoprimes), and the
-whole script about 8 s with --workers 2, which the scan's walk uses.
+whole script about 4.5 s with --workers 2, which the scan's walk uses.
 --skip-scan runs the census alone.
 """
 import argparse

@@ -313,8 +313,9 @@ def _enumerate_strong_pseudoprimes(
     *,
     workers: int | None = None,
     progress: Callable[[int, int], None] | None = None,
-) -> list[int]:
-    """Every strong pseudoprime to base a up to bound, in order.
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every strong pseudoprime n to base a up to bound, in order, as
+    (n, h, the primes of h), where h is the order of a modulo one atom of n.
 
     Pinch's method. A strong pseudoprime n is a Fermat pseudoprime, so the
     order of a modulo each of its prime powers divides n - 1. Hence no
@@ -329,12 +330,18 @@ def _enumerate_strong_pseudoprimes(
     pool of at most one process per job. progress(done, total) is called
     once per job, in order, counts walk steps and ends with done == total.
 
-    A depth-first search multiplies atoms from the largest down, keeping
-    the product s and L. It tests s when s is composite and s = 1 (mod L).
-    Once (bound // s) // L is at most _COMPLETIONS, it tests every
+    An odd n is a strong pseudoprime exactly when it is a Fermat
+    pseudoprime and every prime of n gives a an order with the same 2-adic
+    valuation (Pomerance, Selfridge and Wagstaff); the order mod p^j has
+    the valuation of the order mod p. So the atoms are grouped by h & -h,
+    and each class is searched on its own. A depth-first search multiplies
+    the class's atoms from the largest down, keeping the product s and L.
+    It tests s when s is composite and s = 1 (mod L). Once
+    (bound // s) // L is at most _COMPLETIONS, it tests every
     t = s^-1 (mod L) with 1 < t <= bound // s and stops; otherwise it goes
-    on to smaller atoms. Every number tested is composite by construction,
-    so the list is certified.
+    on to smaller atoms. Every number tested is composite by construction
+    and passes the strong test, so the list is certified. Each n carries
+    the order h of the last atom multiplied in, factored by the table.
     """
     root = isqrt(bound)
     table = smallest_factor_table(root)
@@ -358,11 +365,14 @@ def _enumerate_strong_pseudoprimes(
             if progress is not None:
                 progress(done, total)
 
-    atoms.sort()
-    primes = [q for q, _, _ in atoms]
-    found: set[int] = set()
+    classes: dict[int, list[tuple[int, int, int]]] = {}
+    for atom in atoms:
+        classes.setdefault(atom[2] & -atom[2], []).append(atom)
+    found: dict[int, int] = {}
 
-    def search(end: int, s: int, L: int) -> None:
+    def search(
+        atoms: list[tuple[int, int, int]], primes: list[int], end: int, s: int, L: int
+    ) -> None:
         # the atoms below index end are smaller than every prime of s
         for i in range(bisect_right(primes, bound // s, 0, end) - 1, -1, -1):
             q, e_max, h = atoms[i]
@@ -375,18 +385,20 @@ def _enumerate_strong_pseudoprimes(
                 if v > bound:
                     break
                 if (s > 1 or e > 1) and v % L_q == 1 and _strong_probable(v, a):
-                    found.add(v)
+                    found[v] = h
                 m = bound // v
                 if m // L_q > _COMPLETIONS:
-                    search(i, v, L_q)
+                    search(atoms, primes, i, v, L_q)
                     continue
                 t0 = pow(v, -1, L_q)
                 for t in range(t0 if t0 > 1 else t0 + L_q, m + 1, L_q):
                     if _strong_probable(v * t, a):
-                        found.add(v * t)
+                        found[v * t] = h
 
-    search(len(atoms), 1, 2)
-    return sorted(found)
+    for members in classes.values():
+        members.sort()
+        search(members, [q for q, _, _ in members], len(members), 1, 2)
+    return [(n, h, factor_with_table(h, table).primes) for n, h in sorted(found.items())]
 
 
 class ScanReport(NamedTuple):
@@ -410,18 +422,24 @@ def scan(
 
     The strong pseudoprimes come from the enumeration; workers (None: the
     run's setting) and progress(done, total) apply to its walk. pi(bound)
-    comes from arith.prime_count.
+    comes from arith.prime_count. Nothing is factored, so the run's budget
+    and cache take no part: each n carries the order h of one of its
+    atoms, and n is overpseudoprime exactly when a^h = 1 (mod n) and
+    gcd(a^(h/r) - 1, n) = 1 for every prime r | h, as then every prime of
+    n gives a the order h.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
     if bound < 3:
         raise DomainError("bound must be at least 3")
-    pseudo = _enumerate_strong_pseudoprimes(a, bound, workers=workers, progress=progress)
+    found = _enumerate_strong_pseudoprimes(a, bound, workers=workers, progress=progress)
     over = sum(
-        1 for n in pseudo if overpseudoprime_by_order_criterion(a, n).ok
+        1
+        for n, h, h_primes in found
+        if pow(a, h, n) == 1 and all(gcd(pow(a, h // r, n) - 1, n) == 1 for r in h_primes)
     )
     pi = prime_count(bound)
-    return ScanReport(a, bound, tuple(pseudo), over, pi, pi + over)
+    return ScanReport(a, bound, tuple(n for n, _, _ in found), over, pi, pi + over)
 
 
 def strong_pseudoprime_ordinal(
@@ -441,10 +459,10 @@ def strong_pseudoprime_ordinal(
         raise DomainError("base must be at least 2")
     if not is_strong_pseudoprime(a, n):
         raise DomainError(f"{n} is not a strong pseudoprime to base {a}")
-    pseudo = _enumerate_strong_pseudoprimes(a, n, workers=workers, progress=progress)
-    if not pseudo or pseudo[-1] != n:
+    found = _enumerate_strong_pseudoprimes(a, n, workers=workers, progress=progress)
+    if not found or found[-1][0] != n:
         raise ArithmeticError(f"enumeration to {n} failed to end at {n}")
-    return len(pseudo)
+    return len(found)
 
 
 # --- direct overpseudoprime census ---------------------------------------

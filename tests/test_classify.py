@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import primover.classification
-from primover.arith import factorize, is_prime, prime_count, use_config
+from primover.arith import factorize, is_prime, order_tower, prime_count, use_config
 from primover.classification import (
     Status,
     classify,
@@ -59,7 +59,8 @@ def longhand_spsp_upto(base, bound):
 
 @lru_cache(maxsize=None)
 def enumerated_upto(base, bound):
-    return tuple(primover.classification._enumerate_strong_pseudoprimes(base, bound))
+    found = primover.classification._enumerate_strong_pseudoprimes(base, bound)
+    return tuple(n for n, _, _ in found)
 
 
 class TestDefinitionalTest:
@@ -189,6 +190,22 @@ class TestStrongPseudoprime:
             if not is_prime(n) and naive_strong_test(2, n)
         ]
         assert found == expected
+
+    @pytest.mark.parametrize("base", (2, 3, 5, 7))
+    def test_one_2_adic_order_class(self, base):
+        # the enumeration searches one class of nu_2(order) at a time: a
+        # strong pseudoprime's prime powers all give the base orders with
+        # the same 2-adic valuation
+        for n in longhand_spsp_to_2_20(base):
+            orders = [order_tower(base, p, e)[-1] for p, e in factorize(n).factors]
+            assert len({h & -h for h in orders}) == 1, n
+
+    def test_fermat_pseudoprime_across_classes(self):
+        # 341 = 11 * 31 passes Fermat's test to base 2 but not the strong
+        # test: 2 has order 10 mod 11 and 5 mod 31
+        assert pow(2, 340, 341) == 1
+        assert not is_strong_pseudoprime(2, 341)
+        assert [order_tower(2, p, 1)[-1] for p in (11, 31)] == [10, 5]
 
 
 class TestSuperPseudoprime:
@@ -338,7 +355,8 @@ class TestEnumeration:
         # 121 = 11^2 (a prime-power atom) for base 3
         enumerate_upto = primover.classification._enumerate_strong_pseudoprimes
         for bound in range(9, 5000):
-            assert enumerate_upto(base, bound) == longhand_spsp_upto(base, bound), bound
+            found = [n for n, _, _ in enumerate_upto(base, bound)]
+            assert found == longhand_spsp_upto(base, bound), bound
 
     @pytest.mark.parametrize("base", (2, 3))
     def test_tail_matches_longhand(self, base):
@@ -400,6 +418,22 @@ class TestCensus:
             if overpseudoprime_by_order_criterion(base, n).ok
         )
         assert overpseudoprimes_upto(base, 1 << 18) == filtered
+
+    @pytest.mark.parametrize(
+        "base, count",
+        ((2, 24), (3, 37), (4, 56), (5, 35), (6, 34), (7, 36), (10, 37), (15, 30)),
+    )
+    def test_scan_certificate_counts_the_census(self, base, count):
+        # scan counts its overpseudoprimes by the order certificate of the
+        # atom that built each one, without factoring
+        report = scan(base, 10**6)
+        census = overpseudoprimes_upto(base, 10**6)
+        assert report.overpseudoprime_count == len(census) == count
+        assert census == tuple(
+            n
+            for n in report.strong_pseudoprimes
+            if overpseudoprime_by_order_criterion(base, n).ok
+        )
 
     @pytest.mark.parametrize("base", range(2, 41))
     def test_matches_longhand(self, base):

@@ -20,7 +20,7 @@ from primover.arith import (
     use_config,
 )
 from primover.cli import build_parser, main, parse_number
-from primover.classification import classify
+from primover.classification import classify, scan
 from primover.config import Config, load_config
 from primover.construct import cofactor_bound_report
 from primover.errors import IncompleteFactorizationError
@@ -544,3 +544,20 @@ def test_cached_order_does_not_outlive_its_run():
     with use_config(Config(rho_budget=1)):
         with pytest.raises(IncompleteFactorizationError):
             classify(2, 604562901)
+
+
+def test_scan_needs_no_factoring(capsys, monkeypatch, tmp_path):
+    # scan decides overpseudoprimes by the order certificate, so neither the
+    # factoring budget nor the cache takes part; with a trial bound of 10,
+    # factoring the strong pseudoprimes below 10^6 would need rho
+    default = scan(2, 10**6)
+    with use_config(Config(trial_bound=10, rho_budget=1)):
+        assert scan(2, 10**6) == default
+    path = tmp_path / "factors.txt"
+    with use_config(Config(cache_path=str(path))):
+        assert scan(2, 10**6) == default
+    assert not path.exists() or path.read_text() == ""
+    # 158397247 = 11257 * 14071, a strong pseudoprime that rho would split
+    monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
+    res = run_json(capsys, "scan", "158397247")["result"]
+    assert (len(res["strong_pseudoprimes"]), res["overpseudoprime_count"]) == (592, 318)
