@@ -287,11 +287,11 @@ class TestScan:
             assert serial == parallel
 
     def test_pool_is_capped_at_segment_count(self, pool_sizes):
-        # at 300 the walk has 4 non-empty progressions, so 4 jobs
+        # at 1000 the walk has 5 non-empty progressions, so 5 jobs
         calls = []
-        report = scan(2, 300, workers=64, progress=lambda *c: calls.append(c))
+        report = scan(2, 1000, workers=64, progress=lambda *c: calls.append(c))
         assert pool_sizes == [len(calls)] and 1 < len(calls) < 64
-        assert report == scan(2, 300)
+        assert report == scan(2, 1000)
 
     def test_workers_come_from_the_run(self, pool_sizes):
         with use_config(Config(workers=2)):
@@ -305,8 +305,10 @@ class TestScan:
         assert pool_sizes == [2, 2]
 
     # 6, 10 and 15 are divisible by sieving primes, and 4, 6, 10 and 15 have
-    # order 1 at one: ord_3(4) = ord_5(6) = ord_3(10) = ord_7(15) = 1
-    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 15))
+    # order 1 at one: ord_3(4) = ord_5(6) = ord_3(10) = ord_7(15) = 1;
+    # 11, 12, 17, 2048 and 65537 have lopsided 2-adic order classes with few
+    # admissible cofactors, so the cofactor bound cuts or skips many walks
+    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 11, 12, 15, 17, 2048, 65537))
     def test_segments_match_naive(self, base):
         # the list and pi against the naive loop, over every job of the walk
         bound = 2 * 10**4
@@ -337,6 +339,12 @@ class TestScan:
         report = scan(2, 10**5)
         assert report.primover_count == report.prime_count + report.overpseudoprime_count
         assert report.overpseudoprime_count <= len(report.strong_pseudoprimes)
+
+    @pytest.mark.deep
+    def test_pinch_count_to_1e10(self):
+        report = scan(2, 10**10, workers=2)
+        assert len(report.strong_pseudoprimes) == 3291  # Pinch; OEIS A055550
+        assert report.prime_count == 455052511
 
 
 class TestEnumeration:
@@ -470,6 +478,7 @@ class TestCensus:
         )
         assert overpseudoprimes_upto(2, 10**9) == filtered
         assert len(filtered) == 663
+        assert len(report.strong_pseudoprimes) == 1282  # Pinch; OEIS A055550
 
 
 @settings(max_examples=150)
