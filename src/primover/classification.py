@@ -125,17 +125,37 @@ def overpseudoprime_by_order_criterion(
     return OrderCriterionTest(ok, f, orders, h)
 
 
+def _certified(a: int, n: int, h: int, h_primes: tuple[int, ...]) -> bool:
+    """The order certificate: a^h = 1 (mod n) and gcd(a^(h/r) - 1, n) = 1
+    for every prime r | h, given h's primes.
+
+    When it holds, a has order exactly h modulo every prime power dividing
+    n: the order mod each prime divides h and no h/r, and the order mod a
+    prime power is a multiple of that order dividing h. So n is primover.
+    """
+    return pow(a, h, n) == 1 and all(gcd(pow(a, h // r, n) - 1, n) == 1 for r in h_primes)
+
+
 def classify(
     a: int,
     n: int,
     *,
     factorization: Factorization | None = None,
+    order: int | None = None,
 ) -> Classification:
     """Full classification of n to base a.
 
     Composites are judged by the order criterion; when n is within the run's
     coset_ceiling the coset-count definition is evaluated too and any
     disagreement raises (it would mean a bug, not a property of n).
+
+    order is a hint: a candidate for the order of a mod n. When it passes
+    the order certificate (see _certified; the hint is factored for it),
+    every prime power of n gives a that order, so n is still factored for
+    the evidence but the order criterion's order computations are skipped.
+    A hint that fails the certificate is ignored and the order criterion
+    decides, so a hint changes only the cost of a verdict, never the
+    verdict.
     """
     if a < 2:
         return Classification(
@@ -165,7 +185,12 @@ def classify(
             Status.COMPOSITE_NOT_PRIMOVER,
             Evidence(reason=f"shares the factor {g} with the base"),
         )
-    crit = overpseudoprime_by_order_criterion(a, n, factorization=factorization)
+    if order is not None and order > 1 and _certified(a, n, order, factorize(order).primes):
+        f = factorize(n) if factorization is None else require_subject(factorization, n)
+        orders = tuple((p, j, order) for p, e in f.factors for j in range(1, e + 1))
+        crit = OrderCriterionTest(True, f, orders, order)
+    else:
+        crit = overpseudoprime_by_order_criterion(a, n, factorization=factorization)
     r = None
     if n <= settings().coset_ceiling:
         r = coset_count(a, n, factorization=crit.factorization)
@@ -441,20 +466,16 @@ def scan(
     run's setting) and progress(done, total) apply to its walk. pi(bound)
     comes from arith.prime_count. Nothing is factored, so the run's budget
     and cache take no part: each n carries the order h of one of its
-    atoms, and n is overpseudoprime exactly when a^h = 1 (mod n) and
-    gcd(a^(h/r) - 1, n) = 1 for every prime r | h, as then every prime of
-    n gives a the order h.
+    atoms, and n is overpseudoprime exactly when it passes the order
+    certificate for h (_certified, which classify shares), as then every
+    prime of n gives a the order h.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
     if bound < 3:
         raise DomainError("bound must be at least 3")
     found = _enumerate_strong_pseudoprimes(a, bound, workers=workers, progress=progress)
-    over = sum(
-        1
-        for n, h, h_primes in found
-        if pow(a, h, n) == 1 and all(gcd(pow(a, h // r, n) - 1, n) == 1 for r in h_primes)
-    )
+    over = sum(1 for n, h, h_primes in found if _certified(a, n, h, h_primes))
     pi = prime_count(bound)
     return ScanReport(a, bound, tuple(n for n, _, _ in found), over, pi, pi + over)
 

@@ -120,8 +120,14 @@ def _verdict(product: CofactorProduct) -> ConstructionVerdict:
     n. A prime p dividing both V and n makes n = ord_p(a) * p^k with k >= 1,
     so p divides a^(n/p) - 1, which divides the complement.
 
-    Coprime values must classify as primover, and non-coprime composites must
-    not; any other combination is a contradiction and raises.  One shape is
+    V is classified with the order hint n. A V coprime to n passes the
+    order certificate, and classify skips the order computations; any other
+    V is judged by the order criterion. The flag comes from gcd(V, n) alone
+    and the classification from the certificate or the criterion, never
+    from the flag, so the cross-check compares two independent
+    computations: coprime values must classify as primover, and non-coprime
+    composites must not; any other combination is a contradiction and
+    raises.  One shape is
     genuinely possible and allowed through: a non-coprime *prime* value.  That
     happens when the cofactor degenerates to the bare intrinsic prime with no
     primitive part, e.g. the value 3 built from 2^6 - 1 (by Bang's theorem,
@@ -129,7 +135,7 @@ def _verdict(product: CofactorProduct) -> ConstructionVerdict:
     while still sharing a factor with the complement.
     """
     holds = gcd(product.value, product.modulus_exponent) == 1
-    cls = classify(product.base, product.value)
+    cls = classify(product.base, product.value, order=product.modulus_exponent)
     if holds != cls.primover:
         if not holds and cls.status is Status.PRIME:
             return ConstructionVerdict(product, holds, cls)

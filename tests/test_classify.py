@@ -24,6 +24,7 @@ from primover.errors import DomainError
 from oracles import (
     longhand_census,
     longhand_strong_pseudoprimes,
+    moebius_cofactor,
     naive_is_prime,
     naive_strong_test,
 )
@@ -159,6 +160,49 @@ class TestClassify:
 
     def test_odd_prime_smaller_than_base(self):
         assert classify(5, 3).status is Status.PRIME
+
+
+@lru_cache(maxsize=None)
+def unhinted_cyclotomic_values():
+    """(a, n, Phi_n(a), its unhinted classification) for bases 2, 3, 5, 6, 10
+    and every composite n with a^n <= 2^128, the goldens' domain, the value
+    built longhand."""
+    out = []
+    for a in (2, 3, 5, 6, 10):
+        n = 4
+        while a**n <= 2**128:
+            if not naive_is_prime(n):
+                v = moebius_cofactor(a, n)
+                out.append((a, n, v, classify(a, v)))
+            n += 1
+    return tuple(out)
+
+
+class TestOrderHint:
+    """The order certificate is a fast path of classify; it must give the
+    answer of the order criterion it replaces, field by field."""
+
+    def test_hint_matches_the_order_criterion(self):
+        certified = 0
+        for a, n, v, plain in unhinted_cyclotomic_values():
+            assert classify(a, v, order=n) == plain, (a, n)
+            certified += plain.status is Status.OVERPSEUDOPRIME and gcd(v, n) == 1
+        assert certified > 100
+
+    def test_wrong_hints_give_the_unhinted_answer(self):
+        # the factorization is passed in to save time; the criterion still
+        # computes every order
+        for a, n, v, plain in unhinted_cyclotomic_values():
+            f = plain.evidence.factorization
+            for wrong in (2 * n, n + 1):
+                assert classify(a, v, factorization=f, order=wrong) == plain, (a, n, wrong)
+
+    def test_hint_on_a_value_sharing_a_factor_with_n(self):
+        # Phi_21(2) = 2359 = 7 * 337: 7 | 21 has order 3, 337 has order 21
+        plain = classify(2, 2359)
+        assert plain.status is Status.COMPOSITE_NOT_PRIMOVER
+        assert classify(2, 2359, order=21) == plain
+        assert plain.evidence.orders == ((7, 1, 3), (337, 1, 21))
 
 
 class TestStrongPseudoprime:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primover.classification
 from primover.arith import factorize, is_prime, mult_order
 from primover.classification import Status
 from primover.construct import (
@@ -246,6 +247,47 @@ class TestPrimitiveCofactor:
             assert v.coprimality_holds
             for p, _, h in v.classification.evidence.orders:
                 assert h == n, (n, p)
+
+    @pytest.mark.deep
+    def test_1155_is_decided_by_the_certificate(self):
+        # the order criterion runs out of rho budget factoring p - 1 for a
+        # prime p of this value; the certificate needs no order computation
+        v = primitive_cofactor(2, 1155)
+        assert v.coprimality_holds
+        c = v.classification
+        assert c.status is Status.OVERPSEUDOPRIME
+        assert c.evidence.factorization.primes[:3] == (2311, 6250631311, 494224324441)
+        assert c.evidence.factorization.primes[3].bit_length() == 397
+        assert c.evidence.orders == tuple((p, 1, 1155) for p in c.evidence.factorization.primes)
+
+
+class TestVerdictRoute:
+    """Which values the order criterion decides, counted at prime_power_orders."""
+
+    @pytest.fixture
+    def criterion_calls(self, monkeypatch):
+        calls = []
+        real = primover.classification.prime_power_orders
+
+        def counting(a, f):
+            calls.append(f.subject)
+            return real(a, f)
+
+        monkeypatch.setattr(primover.classification, "prime_power_orders", counting)
+        return calls
+
+    def test_coprime_values_skip_the_order_criterion(self, criterion_calls):
+        assert primitive_cofactor(2, 35).classification.status is Status.OVERPSEUDOPRIME
+        # F_5 and F_6: the paper's theorem, certified with order 2^n
+        for n in (6, 7):
+            v = verify_generalized_fermat(2, n)
+            assert v.classification.status is Status.OVERPSEUDOPRIME
+        assert criterion_calls == []
+
+    def test_non_coprime_value_takes_the_order_criterion(self, criterion_calls):
+        v = two_prime_cofactor(2, 3, 7)
+        assert v.classification.status is Status.COMPOSITE_NOT_PRIMOVER
+        assert criterion_calls == [2359]
 
 
 class TestCofactorProductType:
