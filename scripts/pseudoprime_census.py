@@ -50,7 +50,7 @@ def main(argv=None):
 
     by_order = defaultdict(list)
     for n in census:
-        by_order[mult_order(args.base, n).order].append(n)
+        by_order[mult_order(args.base, n)].append(n)
     for h in sorted(by_order):
         for n in by_order[h]:
             print(f"  {n:>12}  order {h:>4}  = {factorize(n)}")

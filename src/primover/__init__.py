@@ -5,15 +5,11 @@ from primover.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
     Factorization,
     FactorizationCache,
-    OrderResult,
     PrimalityResult,
-    carmichael,
     check_prime,
     euler_phi,
     factorize,
     is_prime,
-    mod_pow,
-    moebius,
     mult_order,
     order_tower,
     prime_count,

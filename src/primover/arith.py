@@ -80,15 +80,6 @@ def smallest_factor_table(limit: int) -> list[int]:
     return table
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus for exponent >= 0, modulus >= 2."""
-    if modulus < 2:
-        raise DomainError("modulus must be at least 2")
-    if exponent < 0:
-        raise DomainError("exponent must be nonnegative")
-    return pow(base, exponent, modulus)
-
-
 @dataclass(frozen=True)
 class PrimalityResult:
     value: bool
@@ -303,37 +294,8 @@ def factorize(n: int) -> Factorization:
     return result
 
 
-def factor_with_table(n: int, table: list[int]) -> Factorization:
-    """Factor n using a precomputed smallest-factor table (n <= len(table)-1)."""
-    counts: dict[int, int] = {}
-    m = n
-    while m > 1:
-        p = table[m]
-        counts[p] = counts.get(p, 0) + 1
-        m //= p
-    return Factorization(n, tuple(sorted(counts.items())))
-
-
 def euler_phi(f: Factorization) -> int:
     return prod(p ** (e - 1) * (p - 1) for p, e in f.factors)
-
-
-def moebius(f: Factorization) -> int:
-    if any(e > 1 for _, e in f.factors):
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def carmichael(f: Factorization) -> int:
-    """Exponent of the multiplicative group mod f.subject."""
-    out = 1
-    for p, e in f.factors:
-        if p == 2:
-            block = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
-        else:
-            block = p ** (e - 1) * (p - 1)
-        out = lcm(out, block)
-    return out
 
 
 def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
@@ -365,17 +327,8 @@ def order_tower(a: int, p: int, l: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-@dataclass(frozen=True)
-class OrderResult:
-    base: int
-    modulus: int
-    order: int
-
-
-def mult_order(
-    a: int, n: int, *, factorization: Factorization | None = None
-) -> OrderResult:
-    """Multiplicative order of a modulo n (least h > 0 with a^h = 1 mod n)."""
+def mult_order(a: int, n: int, *, factorization: Factorization | None = None) -> int:
+    """The multiplicative order of a modulo n: the least h > 0 with a^h = 1 mod n."""
     if a < 2:
         raise DomainError("base must be at least 2")
     if n < 2:
@@ -386,7 +339,7 @@ def mult_order(
     order = 1
     for p, e in f.factors:
         order = lcm(order, order_tower(a, p, e)[-1])
-    return OrderResult(a, n, order)
+    return order
 
 
 def require_subject(f: Factorization, n: int) -> Factorization:

@@ -101,7 +101,7 @@ def overpseudoprime_by_coset_count(
     _require_odd_composite(a, n)
     f = factorization if factorization is not None else factorize(n)
     r = coset_count(a, n, factorization=f)
-    h = mult_order(a, n, factorization=f).order
+    h = mult_order(a, n, factorization=f)
     return CosetCountTest(n == r * h + 1, r, h)
 
 

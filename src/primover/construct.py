@@ -63,10 +63,6 @@ class ConstructionVerdict:
     coprimality_holds: bool
     classification: Classification
 
-    @property
-    def primover(self) -> bool:
-        return self.classification.primover
-
 
 def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
     """Exponent/sign pairs for the primitive cofactor of base^f.subject - 1.
@@ -218,7 +214,7 @@ def verify_generalized_fermat(a: int, n: int) -> ConstructionVerdict:
     if not cls.primover:
         raise ArithmeticError(f"{value} failed the primover guarantee")
     if cls.status == Status.PRIME:
-        if mult_order(a, value).order != hi:
+        if mult_order(a, value) != hi:
             raise ArithmeticError(f"prime {value} gives the base order != 2^{n}")
     elif any(h != hi for _, _, h in cls.evidence.orders or ()):
         raise ArithmeticError(f"a prime power divisor of {value} has order != 2^{n}")

@@ -45,9 +45,6 @@ class CosetDecomposition:
     r: int  # number of cosets
     h: int  # lcm of coset sizes == multiplicative order of base
 
-    def sizes(self) -> list[int]:
-        return [len(c) for c in self.cosets]
-
 
 def decompose(a: int, n: int) -> CosetDecomposition:
     """Enumerate every coset, each listed from its least element.

@@ -389,6 +389,24 @@ class TestCliContracts:
         assert out == ""
         assert "base must be at least 2" in err
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    @pytest.mark.parametrize(
+        "argv, reason",
+        (
+            (["--base", "1", "7"], "base must be at least 2"),
+            (["1"], "subject must exceed 1"),
+            (["0"], "subject must exceed 1"),
+            (["2^0-1"], "subject must exceed 1"),
+        ),
+    )
+    def test_classify_out_of_domain_exits_1(self, capsys, fmt, argv, reason):
+        # the library returns the out-of-domain status; the verb reports it
+        # as a domain error, like every other verb
+        code, out, err = run_cli(capsys, "--format", fmt, "classify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {reason}\n"
+
     def test_resource_errors_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "10000019")
         assert code == 2

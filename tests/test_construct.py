@@ -321,7 +321,7 @@ class TestGeneralizedFermat:
         for n in range(1, 6):
             v = verify_generalized_fermat(2, n)
             assert v.classification.status is Status.PRIME
-            assert mult_order(2, v.product.value).order == 2**n
+            assert mult_order(2, v.product.value) == 2**n
 
     def test_verified_composite_cases(self):
         v6 = verify_generalized_fermat(2, 6)

@@ -69,7 +69,7 @@ class TestStructuralInvariants:
                 flat = sorted(x for c in d.cosets for x in c)
                 assert flat == list(range(1, n)), (a, n)
                 assert d.h == lcm(*(len(c) for c in d.cosets))
-                assert d.h == mult_order(a, n).order
+                assert d.h == mult_order(a, n)
                 assert d.r == len(d.cosets) == coset_count(a, n), (a, n)
 
     def test_prime_structure(self):
@@ -79,7 +79,7 @@ class TestStructuralInvariants:
                 if not is_prime(p) or p == a:
                     continue
                 d = decompose(a, p)
-                sizes = set(d.sizes())
+                sizes = {len(c) for c in d.cosets}
                 assert sizes == {d.h}, (a, p)
                 assert p == d.r * d.h + 1, (a, p)
 
@@ -137,4 +137,4 @@ def test_partition_property(a, n):
     d = decompose(a, n)
     flat = sorted(x for c in d.cosets for x in c)
     assert flat == list(range(1, n))
-    assert sum(d.sizes()) == n - 1
+    assert sum(len(c) for c in d.cosets) == n - 1
