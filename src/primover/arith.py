@@ -25,10 +25,25 @@ from primover.errors import (
     TooManyDivisorsError,
 )
 
-# The first twelve prime bases are a proven-deterministic witness set below
+# The first thirteen prime bases are a proven-deterministic witness set below
 # this bound (Sorenson & Webster, https://arxiv.org/abs/1509.00864).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# (psi_t, t): the first t bases decide every n below psi_t, the least strong
+# pseudoprime to all of them (OEIS A014233); psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11, so t = 8, 10 and 11 never have a tier of their own.
+_WITNESS_TIERS = (
+    (2047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (DETERMINISTIC_PRIMALITY_BOUND, 13),
+)
 _EXTRA_ROUNDS = 48
 
 
@@ -86,7 +101,11 @@ class PrimalityResult:
     probabilistic: bool
 
 
-_SMALL_PRIMES = tuple(primes_upto(1000))
+_SMALL_PRIMES = frozenset(primes_upto(1000))
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
+# 1009 is the least prime above 1000: below its square, a number with no
+# prime factor under 1000 is prime
+_SCREENED = 1009 * 1009
 
 
 def _strong_probable(n: int, a: int) -> bool:
@@ -107,19 +126,25 @@ def _strong_probable(n: int, a: int) -> bool:
 def check_prime(n: int) -> PrimalityResult:
     """Primality verdict plus a flag for whether it relied on unproven witnesses.
 
-    Deterministic (flag False) for every n below DETERMINISTIC_PRIMALITY_BOUND.
-    Above it, a "prime" answer comes from fixed witnesses plus extra rounds
-    drawn from a per-n seeded generator, so repeated calls agree; composite
-    answers are always exact.
+    One gcd with the product of the primes below 1000 screens n first. Past
+    the screen, n is decided by the strong test to the first t prime bases,
+    t the least with n < psi_t in _WITNESS_TIERS: one base below 2047, four
+    below 3215031751, thirteen from psi_12 = 318665857834031151167461 up
+    (Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
+    (2017), arXiv 1509.00864; OEIS A014233). So the verdict is deterministic
+    (flag False) for every n below DETERMINISTIC_PRIMALITY_BOUND = psi_13.
+    Above it, a "prime" answer comes from the thirteen bases plus extra
+    rounds drawn from a per-n seeded generator, so repeated calls agree;
+    composite answers are always exact.
     """
     if n < 2:
         return PrimalityResult(False, False)
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            return PrimalityResult(True, False)
-        if n % p == 0:
-            return PrimalityResult(n == p, False)
-    if not all(_strong_probable(n, a) for a in _WITNESSES):
+    if gcd(n, _SMALL_PRODUCT) != 1:
+        return PrimalityResult(n in _SMALL_PRIMES, False)
+    if n < _SCREENED:
+        return PrimalityResult(True, False)
+    t = next((t for psi, t in _WITNESS_TIERS if n < psi), len(_WITNESSES))
+    if not all(_strong_probable(n, a) for a in _WITNESSES[:t]):
         return PrimalityResult(False, False)
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return PrimalityResult(True, False)
@@ -185,14 +210,25 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
 
 
+_TRIAL_BLOCK = 1024
+
+
 @lru_cache(maxsize=8)
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    return tuple(primes_upto(bound))
+def _trial_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The primes up to bound, in blocks of _TRIAL_BLOCK, each with its product.
+
+    One product per block, not one over all the primes: at a bound of 10^6
+    that one product takes about 3 s to build and a gcd with it over 1 ms.
+    """
+    primes = primes_upto(bound)
+    starts = range(0, len(primes), _TRIAL_BLOCK)
+    blocks = [tuple(primes[i : i + _TRIAL_BLOCK]) for i in starts]
+    return tuple((prod(block), block) for block in blocks)
 
 
 # built at import for the default bound, so that a process's first
 # factorization does not pay for the sieve
-_trial_primes(Config().trial_bound)
+_trial_blocks(Config().trial_bound)
 
 
 class _BudgetExhausted(Exception):
@@ -221,7 +257,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
                 step = min(128, r - k)
                 for _ in range(step):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n  # a sign flip of q leaves gcd(q, n) alone
                 budget[0] -= step
                 if budget[0] <= 0:
                     raise _BudgetExhausted
@@ -232,7 +268,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
+                g = gcd(x - ys, n)
         if g != n:
             return g
         c += 1  # degenerate cycle, retry with the next shift
@@ -271,17 +307,18 @@ def factorize(n: int) -> Factorization:
 
     counts: dict[int, int] = {}
     m = n
-    while m % 2 == 0:
-        counts[2] = counts.get(2, 0) + 1
-        m //= 2
-    for p in _trial_primes(max(config.trial_bound, 3)):
-        if p == 2:
-            continue
-        if p * p > m:
+    for product, block in _trial_blocks(max(config.trial_bound, 3)):
+        if block[0] * block[0] > m:
             break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
+        g = gcd(m, product)  # the block's primes that divide m, once each
+        for p in block:
+            if g == 1 or p * p > m:
+                break
+            if g % p == 0:
+                g //= p
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
     if m > 1:
         try:
             _split(m, counts, [config.rho_budget])

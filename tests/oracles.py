@@ -19,6 +19,20 @@ def naive_is_prime(n: int) -> bool:
     return True
 
 
+def naive_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """(prime, exponent) pairs of n >= 2, by trial division by every d >= 2."""
+    counts: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        counts[n] = counts.get(n, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def naive_order(a: int, n: int) -> int:
     assert gcd(a, n) == 1 and n > 1
     x = a % n

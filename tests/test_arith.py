@@ -1,4 +1,5 @@
 import random
+import time
 from bisect import bisect_right
 from math import gcd, prod
 
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primover.arith import (
+    _WITNESS_TIERS,
     DETERMINISTIC_PRIMALITY_BOUND,
     Factorization,
+    PrimalityResult,
+    _trial_blocks,
     check_prime,
     euler_phi,
     factorize,
@@ -27,7 +31,32 @@ from primover.errors import (
     IncompleteFactorizationError,
     TooManyDivisorsError,
 )
-from oracles import naive_is_prime, naive_order, naive_phi, naive_divisors
+from oracles import (
+    naive_divisors,
+    naive_factor,
+    naive_is_prime,
+    naive_order,
+    naive_phi,
+    naive_strong_test,
+)
+
+# psi_t for t = 1..13: the least n that passes the strong test to each of the
+# first t prime bases (OEIS A014233; Jaeschke 1993, Sorenson & Webster 2017)
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
 
 
 class TestPrimality:
@@ -57,6 +86,31 @@ class TestPrimality:
         result = check_prime(square)
         assert not result.value and not result.probabilistic
 
+    def test_against_sieve_below_2e6(self):
+        # covers the screen's edge, 1009^2 = 1018081
+        primes = set(primes_upto(2_000_000))
+        wrong = [
+            n
+            for n in range(2_000_000)
+            if check_prime(n) != PrimalityResult(n in primes, False)
+        ]
+        assert wrong == []
+
+    def test_witness_tiers_are_tight(self):
+        # each tier starts at a new psi_t, with t its least index ...
+        assert _WITNESS_TIERS == tuple(
+            (psi, PSI.index(psi) + 1) for psi in dict.fromkeys(PSI)
+        )
+        assert DETERMINISTIC_PRIMALITY_BOUND == PSI[-1]
+        bases = primes_upto(43)  # the first 14 primes
+        for psi, _ in _WITNESS_TIERS:
+            # ... psi passes the bases of every t with psi_t == psi and fails
+            # the next one, which the following tier adds
+            last = len(PSI) - PSI[::-1].index(psi)
+            passes = [naive_strong_test(a, psi) for a in bases]
+            assert passes[: last + 1] == [True] * last + [False], psi
+            assert check_prime(psi) == PrimalityResult(False, False), psi
+
 
 class TestFactorization:
     def test_examples(self):
@@ -77,6 +131,37 @@ class TestFactorization:
     def test_square_of_large_prime(self):
         p = 1000003
         assert factorize(p * p).factors == ((p, 2),)
+
+    @pytest.mark.parametrize("bound", (3, 10, 100, 10**4))
+    def test_trial_division_edges(self, bound):
+        primes = primes_upto(20_000)
+        cases = (
+            2,
+            3,
+            2**40,
+            7919,
+            2 * 3 * 7919,
+            9973**2 * 10007,
+            10007**2,
+            prod(primes_upto(100)) * 1009 * 7919 * 9973,  # all below 10^4
+            2**5 * 3**7 * 5**3 * 7919**2,
+            3**20 * 7**3 * 11,
+            # across the end of the first trial block, 1024 primes in
+            primes[1022] * primes[1023] ** 2 * primes[1024] * primes[1025],
+        )
+        with use_config(Config(trial_bound=bound)):
+            for n in cases:
+                assert factorize(n).factors == naive_factor(n), (bound, n)
+
+    def test_large_trial_bound_builds_quickly(self):
+        _trial_blocks.cache_clear()
+        try:
+            start = time.perf_counter()
+            with use_config(Config(trial_bound=10**6)):
+                assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+            assert time.perf_counter() - start < 1.0
+        finally:
+            _trial_blocks.cache_clear()
 
     def test_random_recompose_and_primality(self):
         rng = random.Random(20250821)

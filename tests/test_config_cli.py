@@ -256,6 +256,23 @@ class TestCliVerbs:
         assert doc["result"]["status"] == "prime"
         assert doc["result"]["primover"] is True
 
+    def test_classify_psi12_is_composite(self, capsys):
+        # psi_12 passes the strong test to the first twelve prime bases; the
+        # thirteenth, 41, shows it composite
+        psi12 = "318665857834031151167461"
+        code, out, _ = run_cli(capsys, "classify", psi12)
+        assert code == 0
+        assert out.startswith(f"{psi12} to base 2: overpseudoprime (primover)\n")
+        assert "factors: 399165290221 * 798330580441\n" in out
+        doc = run_json(capsys, "classify", psi12)
+        assert doc["result"]["status"] == "overpseudoprime"
+        assert doc["result"]["primover"] is True
+        assert doc["result"]["evidence"]["factorization"] == [
+            [399165290221, 1],
+            [798330580441, 1],
+        ]
+        assert doc["probabilistic"] is False
+
     def test_cosets(self, capsys):
         code, out, _ = run_cli(capsys, "cosets", "--base", "2", "7")
         assert code == 0
