@@ -10,8 +10,11 @@ uncommitted edits included. For every seed of a --run, perfbench/run.py
 runs once on each side with the same seed; the side that goes first alternates from pair to pair. The output
 file gets, per workload and end-to-end metric, each side's median and
 quartiles and the number of pairs the change won, plus the seeds, both
-revisions, the core count and the Python version. Workloads already in the
-output file and not run again are kept. Exits 1 when any run is not correct.
+revisions, the core count and the Python version; each run records its
+ops attempted and failed. The file is written after every workload, and
+workloads already in it and not run again are kept. Exits 1 when any run is
+not correct, and 2, keeping the workloads finished before it, when a run
+ends without a result.
 """
 import argparse
 import io
@@ -40,17 +43,28 @@ def parse_run(spec: str) -> tuple[str, list[int]]:
     return workload, list(range(int(first), int(last or first) + 1))
 
 
+class BenchError(RuntimeError):
+    """A perfbench run that ended without a result."""
+
+
 def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One perfbench run in tree; its final JSON line."""
+    """One perfbench run in tree; its final JSON line.
+
+    perfbench/run.py exits 0 with a result, 1 with a result that is not
+    correct, and 2 with none; anything but a result line last is an error.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{tree}: {workload} seed {seed} printed nothing\n{proc.stderr}")
-    return json.loads(lines[-1])
+    if proc.returncode in (0, 1) and lines and lines[-1].startswith("{"):
+        return json.loads(lines[-1])
+    tail = "\n".join(proc.stderr.strip().splitlines()[-10:])
+    raise BenchError(
+        f"{tree}: {workload} seed {seed} exited {proc.returncode} without a result\n{tail}"
+    )
 
 
 def quartiles(values: list[float]) -> dict:
@@ -128,13 +142,19 @@ def main(argv=None) -> int:
                 "runs": [
                     {"seed": p["seed"], "first": p["first"],
                      **{s: {k: v["value"] for k, v in p[s]["metrics"].items()}
-                        for s in ("parent", "change")}}
+                        for s in ("parent", "change")},
+                     **{k: {s: p[s][k] for s in ("parent", "change")}
+                        for k in ("attempted", "failed")}}
                     for p in pairs
                 ],
             }
-    out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            out_path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0 if correct else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BenchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple
 
@@ -118,7 +118,12 @@ def overpseudoprime_by_order_criterion(
     same order at every divisor > 1.
     """
     _require_odd_composite(a, n)
-    f = factorize(n) if factorization is None else require_subject(factorization, n)
+    return _order_criterion(a, n, factorization)
+
+
+def _order_criterion(a: int, n: int, f: Factorization | None) -> OrderCriterionTest:
+    """overpseudoprime_by_order_criterion for an odd composite n coprime to a."""
+    f = factorize(n) if f is None else require_subject(f, n)
     orders = prime_power_orders(a, f)
     h = lcm(*(t[2] for t in orders))
     ok = all(t[2] == h for t in orders)
@@ -190,7 +195,7 @@ def classify(
         orders = tuple((p, j, order) for p, e in f.factors for j in range(1, e + 1))
         crit = OrderCriterionTest(True, f, orders, order)
     else:
-        crit = overpseudoprime_by_order_criterion(a, n, factorization=factorization)
+        crit = _order_criterion(a, n, factorization)
     r = None
     if n <= settings().coset_ceiling:
         r = coset_count(a, n, factorization=crit.factorization)
@@ -304,15 +309,49 @@ def _progression(a: int, h: int, lo: int, limit: int) -> range:
 # while a^h - 1 has at most about this many bits, one reduction of it is
 # cheaper than pow(a, h, q)
 _SMALL_POWER_BITS = 2048
+# _walk splits into at most _CLASSES classes of over _CLASS_LENGTH candidates
+_CLASSES, _CLASS_LENGTH = 64, 16
+
+
+@lru_cache(maxsize=1 << 12)
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
 
 
 def _walk(a: int, h: int, candidates: range, h_primes: tuple[int, ...]) -> list[int]:
-    """The primes among candidates at which a has order exactly h, given h's primes."""
+    """The primes among candidates at which a has order exactly h, ascending,
+    given h's primes. As (a/q) = a^((q-1)/2) mod q, a prime q of order h has
+    (a/q) = 1 exactly when 2h | q - 1; (a/q) depends only on q mod 4a, so
+    the classes mod lcm(2h, 4a) whose Jacobi symbol disagrees are skipped.
+    """
+    classes = (candidates,)
+    if len(candidates) > 2 * _CLASS_LENGTH:  # count >= 2, so no shorter one splits
+        count = lcm(2 * h, 4 * a) // candidates.step
+        if count <= _CLASSES and count * _CLASS_LENGTH < len(candidates):
+            kept = [
+                candidates[i::count]
+                for i, r in enumerate(candidates[:count])
+                if _jacobi(a, r % (4 * a)) == (1 if (r - 1) % (2 * h) == 0 else -1)
+            ]
+            if len(kept) < count:
+                classes = kept
     if a.bit_length() * h <= _SMALL_POWER_BITS:
         power = a**h - 1
-        divisors = [q for q in candidates if power % q == 0]
+        divisors = [q for c in classes for q in c if power % q == 0]
     else:
-        divisors = [q for q in candidates if pow(a, h, q) == 1]
+        divisors = [q for c in classes for q in c if pow(a, h, q) == 1]
+    if len(classes) > 1:
+        divisors.sort()
     return [
         q
         for q in divisors
@@ -371,26 +410,29 @@ def _enumerate_strong_pseudoprimes(
     It tests s when s is composite and s = 1 (mod L). Once
     (bound // s) // L is at most _COMPLETIONS, it tests every
     t = s^-1 (mod L) with 1 < t <= bound // s and stops; otherwise it goes
-    on to smaller atoms. Every number tested is composite by construction
-    and passes the strong test, so the list is certified. Each n carries
-    the order h of the last atom multiplied in, factored by the table.
+    on to smaller atoms; a completion t <= isqrt(bound) needs lam[t], the
+    lcm of its primes' orders by the table, in the class and dividing
+    s * t - 1. Every number listed is composite by construction and passed
+    the strong test, so the list is certified. Each n carries the order h
+    of the last atom multiplied in, factored by the table.
     """
     root = isqrt(bound)
     table = smallest_factor_table(root)
     atoms = _seeds(a, bound, table)
-    nu = {q: h & -h for q, _, h in atoms}
-    # cls[k]: the class h & -h shared by the primes of k as seeds, or 0
-    cls = [0] * (root + 1)
+    order = {q: h for q, _, h in atoms}
+    # lam[k]: the lcm of k's primes' seed orders if all are in one class, or 0
+    lam = [0] * (root + 1)
     for k in range(3, root + 1, 2):
         q = table[k]
-        cls[k] = nu.get(q, 0) if k == q or cls[k // q] == nu.get(q) else 0
+        h, rest = order.get(q, 0), lam[k // q]
+        lam[k] = h if k == q else lcm(rest, h) if h and rest & -rest == h & -h else 0
     walks = []
     for h in range(1, root + 1):
         step = lcm(2, h)
         if not _progression(a, h, root + 1, bound // (step + 1)):
             continue
         ks = range(step + 1, root + 1, step)
-        k_min = next((k for k in ks if cls[k] == h & -h and gcd(h, k) == 1), 0)
+        k_min = next((k for k in ks if lam[k] & -lam[k] == h & -h and gcd(h, k) == 1), 0)
         if k_min and (candidates := _progression(a, h, root + 1, bound // k_min)):
             walks.append((h, _prime_divisors(h, table), candidates))
     jobs = [walks[j::_JOBS] for j in range(min(_JOBS, len(walks)))]
@@ -413,7 +455,7 @@ def _enumerate_strong_pseudoprimes(
     found: dict[int, int] = {}
 
     def search(
-        atoms: list[tuple[int, int, int]], primes: list[int], end: int, s: int, L: int
+        atoms: list[tuple[int, int, int]], primes: list[int], c: int, end: int, s: int, L: int
     ) -> None:
         # the atoms below index end are smaller than every prime of s
         for i in range(bisect_right(primes, bound // s, 0, end) - 1, -1, -1):
@@ -430,16 +472,18 @@ def _enumerate_strong_pseudoprimes(
                     found[v] = h
                 m = bound // v
                 if m // L_q > _COMPLETIONS:
-                    search(atoms, primes, i, v, L_q)
+                    search(atoms, primes, c, i, v, L_q)
                     continue
                 t0 = pow(v, -1, L_q)
                 for t in range(t0 if t0 > 1 else t0 + L_q, m + 1, L_q):
+                    if t <= root and (lam[t] & -lam[t] != c or (v * t - 1) % lam[t]):
+                        continue
                     if _strong_probable(v * t, a):
                         found[v * t] = h
 
-    for members in classes.values():
+    for c, members in classes.items():
         members.sort()
-        search(members, [q for q, _, _ in members], len(members), 1, 2)
+        search(members, [q for q, _, _ in members], c, len(members), 1, 2)
     return [(n, h, _prime_divisors(h, table)) for n, h in sorted(found.items())]
 
 

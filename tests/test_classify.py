@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primover.arith
 import primover.classification
 from primover.arith import factorize, is_prime, order_tower, prime_count, use_config
 from primover.classification import (
     Status,
+    _jacobi,
     classify,
     is_strong_pseudoprime,
     is_superpseudoprime,
@@ -160,6 +162,18 @@ class TestClassify:
 
     def test_odd_prime_smaller_than_base(self):
         assert classify(5, 3).status is Status.PRIME
+
+    def test_odd_composite_is_tested_once(self, monkeypatch):
+        # classify has tested n for primality before the order criterion,
+        # which then does not test it again
+        calls = []
+        for module in (primover.arith, primover.classification):
+            real = module.check_prime
+            monkeypatch.setattr(
+                module, "check_prime", lambda n, real=real: calls.append(n) or real(n)
+            )
+        assert classify(2, 341).status is Status.COMPOSITE_NOT_PRIMOVER
+        assert calls.count(341) == 1
 
 
 @lru_cache(maxsize=None)
@@ -393,8 +407,9 @@ class TestScan:
 
 class TestEnumeration:
     # 4, 6, 10 and 15 have order 1 at a small prime, and 6, 10 and 15 are
-    # divisible by one, as in test_segments_match_naive
-    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 10, 15))
+    # divisible by one, as in test_segments_match_naive; 4 and 9 are squares,
+    # so (a/q) = 1 at every prime q not dividing them
+    @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 9, 10, 15))
     def test_matches_longhand_to_2_20(self, base):
         bounds = (2046, 2047, (1 << 17) + 1, 10**6 - 1, 10**6, 1 << 20)
         for bound in bounds:
@@ -419,6 +434,27 @@ class TestEnumeration:
         assert len(expected) >= 2
         assert [n for n in enumerated_upto(base, hi - 1) if n >= lo] == expected
 
+    def test_completion_of_order_one(self):
+        # 4371 = 3 * 31 * 47 and ord_3(4) = 1: the order table takes the
+        # completion 3 as (n - 1) % 1 == 0, where n % 1 == 1 would drop it
+        assert 4371 in enumerated_upto(4, 10**4)
+        assert 4371 in longhand_spsp_upto(4, 10**4)
+
+    def test_order_table_skips_completions(self, monkeypatch):
+        # the order table decides the completions up to isqrt(bound): base 2
+        # to 2^20 took 1,730 strong tests before it, and needs 836 with it
+        calls = []
+        real = primover.classification._strong_probable
+
+        def counted(n, a):
+            calls.append(n)
+            return real(n, a)
+
+        monkeypatch.setattr(primover.classification, "_strong_probable", counted)
+        found = primover.classification._enumerate_strong_pseudoprimes(2, 1 << 20)
+        assert tuple(n for n, _, _ in found) == longhand_spsp_to_2_20(2)
+        assert len(calls) <= 900
+
     def test_prime_power_atoms(self):
         # 1093^2 and 3511^2 are the base-2 Wieferich squares, 11^2 the base-3 one
         assert WIEFERICH_SQUARE in scan(2, WIEFERICH_SQUARE).strong_pseudoprimes
@@ -427,6 +463,49 @@ class TestEnumeration:
     def test_base_below_2_rejected(self):
         with pytest.raises(DomainError, match="base must be at least 2"):
             scan(1, 100)
+
+
+class TestCharacterWalk:
+    """_walk skips the residue classes whose Jacobi symbol rules out a prime
+    of order h; it must find what a walk of the whole progression finds."""
+
+    def test_jacobi_is_eulers_criterion(self):
+        primes = [p for p in range(3, 10**4, 2) if naive_is_prime(p)]
+        for a in range(2, 101):
+            for p in primes:
+                euler = pow(a, (p - 1) // 2, p)
+                assert _jacobi(a, p) == (-1 if euler == p - 1 else euler), (a, p)
+
+    def test_jacobi_depends_on_n_mod_4a(self):
+        for a in (*range(2, 101), 65537, 1000003, 2**31 - 1, 10**12 + 39):
+            for n in range(1, min(12 * a, 4001), 2):
+                symbol = _jacobi(a, n)
+                assert symbol == _jacobi(a, n % (4 * a)) == _jacobi(a, n + 28 * a), (a, n)
+
+    # 2-79 include the square and power bases 4, 8, 9, 16, 25, 27, 36, 49
+    # and 64; the large bases have too many classes to split
+    @pytest.mark.parametrize("base", (*range(2, 80), 65537, 1000003, 2**31 - 1, 10**12 + 39))
+    def test_walk_matches_the_whole_progression(self, base, monkeypatch):
+        # every walk of the enumeration and of the census at 10^6 + 1
+        calls = []
+        walk = primover.classification._walk
+        monkeypatch.setattr(
+            primover.classification, "_walk", lambda *args: calls.append(args) or walk(*args)
+        )
+        primover.classification._enumerate_strong_pseudoprimes(base, 10**6 + 1, workers=1)
+        overpseudoprimes_upto(base, 10**6 + 1)
+        assert calls
+        # split every progression that has few enough classes, however short
+        monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", 0)
+        for a, h, candidates, h_primes in calls:
+            whole = [
+                q
+                for q in candidates
+                if pow(a, h, q) == 1
+                and all(pow(a, h // r, q) != 1 for r in h_primes)
+                and naive_is_prime(q)
+            ]
+            assert walk(a, h, candidates, h_primes) == whole, (h, candidates)
 
 
 class TestCensus:
