@@ -9,7 +9,6 @@ pseudoprime predicates, range scans, and ordinal queries.
 """
 from __future__ import annotations
 
-import multiprocessing
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -390,10 +389,11 @@ def _enumerate_strong_pseudoprimes(
     L = lcm(2, orders). A prime P > isqrt(bound) of n has exponent 1, and
     n = k * P with 1 < k <= isqrt(bound). With h = ord_P(a), k = 1
     (mod lcm(2, h)); every prime q | k is a seed whose order has the 2-adic
-    valuation of h (see below); and q does not divide h, as h | n - 1.
-    Walking P = 1 (mod lcm(2, h)) up to bound // k_min(h), k_min(h) the
-    least such k by the table, finds every such P; no k, no walk. k_min is
-    sought only where the walk to bound // (lcm(2, h) + 1) is not empty.
+    valuation of h (see below); and q does not divide h, which k = 1
+    (mod h) already ensures. Walking P = 1 (mod lcm(2, h)) up to
+    bound // k_min(h), k_min(h) the least such k by the table, finds every
+    such P; no k, no walk. k_min(h) is read from one slice of cls, the
+    list of each k's class, so each h is planned in one pass.
 
     The progressions, as (h, primes of h, candidates), are dealt into at
     most _JOBS interleaved jobs. With workers > 1 (None: the run's setting)
@@ -426,14 +426,15 @@ def _enumerate_strong_pseudoprimes(
         q = table[k]
         h, rest = order.get(q, 0), lam[k // q]
         lam[k] = h if k == q else lcm(rest, h) if h and rest & -rest == h & -h else 0
+    cls = [lam_k & -lam_k for lam_k in lam]  # the class of k's primes, or 0
     walks = []
     for h in range(1, root + 1):
-        step = lcm(2, h)
-        if not _progression(a, h, root + 1, bound // (step + 1)):
+        step, c = lcm(2, h), h & -h
+        row = cls[step + 1 :: step]  # the classes of k = step + 1, 2 * step + 1, ...
+        if c not in row:
             continue
-        ks = range(step + 1, root + 1, step)
-        k_min = next((k for k in ks if lam[k] & -lam[k] == h & -h and gcd(h, k) == 1), 0)
-        if k_min and (candidates := _progression(a, h, root + 1, bound // k_min)):
+        k_min = step * (row.index(c) + 1) + 1
+        if candidates := _progression(a, h, root + 1, bound // k_min):
             walks.append((h, _prime_divisors(h, table), candidates))
     jobs = [walks[j::_JOBS] for j in range(min(_JOBS, len(walks)))]
     walk_job = partial(_walk_job, a)
@@ -441,6 +442,8 @@ def _enumerate_strong_pseudoprimes(
     done = 0
     workers = settings().workers if workers is None else workers
     parallel = workers > 1 and len(jobs) > 1
+    if parallel:
+        import multiprocessing  # not at the top: a serial walk never pays for it
     with multiprocessing.Pool(min(workers, len(jobs))) if parallel else nullcontext() as pool:
         results = pool.imap(walk_job, jobs) if parallel else map(walk_job, jobs)
         for job, walked in zip(jobs, results):
@@ -476,7 +479,7 @@ def _enumerate_strong_pseudoprimes(
                     continue
                 t0 = pow(v, -1, L_q)
                 for t in range(t0 if t0 > 1 else t0 + L_q, m + 1, L_q):
-                    if t <= root and (lam[t] & -lam[t] != c or (v * t - 1) % lam[t]):
+                    if t <= root and (cls[t] != c or (v * t - 1) % lam[t]):
                         continue
                     if _strong_probable(v * t, a):
                         found[v * t] = h

@@ -26,8 +26,10 @@ def pytest_collection_modifyitems(config, items):
 
 def record_pools(monkeypatch) -> list[int]:
     """The size of every process pool the walk asks for, from a stand-in
-    pool that records it and runs the jobs in-process."""
-    import primover.classification
+    pool that records it and runs the jobs in-process. The walk imports
+    multiprocessing only when it opens a pool, so the stand-in replaces
+    multiprocessing.Pool itself."""
+    import multiprocessing
 
     sizes: list[int] = []
 
@@ -44,7 +46,7 @@ def record_pools(monkeypatch) -> list[int]:
         def imap(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(primover.classification.multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return sizes
 
 

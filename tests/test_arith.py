@@ -302,7 +302,9 @@ class TestPrimeCount:
     def test_matches_sieve_at_powers_of_2_and_prime_squares(self):
         primes = primes_upto((1 << 22) + 1)
         points = [(1 << k) + d for k in range(23) for d in (-1, 0, 1)]
-        points += [p * p + d for p in primes_upto(99) for d in (-1, 0)]
+        points += [p * p + d for p in primes_upto(2039) for d in (-1, 0)]
+        # the start values wrap around the wheel 30030 = 2 * 3 * 5 * 7 * 11 * 13
+        points += [k * 30030 + d for k in range(1, (1 << 22) // 30030 + 1) for d in (-1, 0, 1)]
         for x in points:
             assert prime_count(x) == bisect_right(primes, x), x
 

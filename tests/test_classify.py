@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primover
 import primover.arith
 import primover.classification
 from primover.arith import factorize, is_prime, order_tower, prime_count, use_config
@@ -338,11 +343,30 @@ class TestScan:
         done = [d for d, _ in calls]
         assert done == sorted(set(done)) and 1 < len(calls) <= 64
 
+    @pytest.mark.parametrize(
+        "base, steps", ((2, 19_129), (3, 30_361), (5, 42_681), (7, 51_431))
+    )
+    def test_walk_plan_at_2_20(self, base, steps):
+        # the candidates of every planned progression, before the character
+        # split: each order h is walked up to bound // k_min(h)
+        calls = []
+        scan(base, 1 << 20, workers=1, progress=lambda *c: calls.append(c))
+        assert calls[-1] == (steps, steps)
+
     def test_parallel_matches_serial(self):
         for base in (2, 6):
             serial = scan(base, 10**5, workers=1)
             parallel = scan(base, 10**5, workers=2)
             assert serial == parallel
+
+    def test_import_leaves_multiprocessing_out(self):
+        # only a walk that opens a pool imports multiprocessing
+        code = "import sys, primover, primover.cli; print('multiprocessing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(primover.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
     def test_pool_is_capped_at_segment_count(self, pool_sizes):
         # at 1000 the walk has 5 non-empty progressions, so 5 jobs
