@@ -16,9 +16,10 @@ oracle in tests/oracles.py and the benchmark's own oracle.
 
 The script runs both routes by default and diffs the lists; it exits 1 when
 they differ. Both routes include the bound itself. On one core of a 2-core
-Xeon, base 2 to 2^24 takes 0.02 s for the census and 0.06-0.09 s for the
-scan; to 10^9 the census takes 0.6 s in 19 MiB (663 overpseudoprimes), and
-the whole script about 2.7 s with --workers 2, which the scan's walk uses.
+Xeon, base 2 to 2^24 takes 0.01 s for the census and 0.07 s for the
+scan; to 10^9 the census takes 0.15-0.2 s in 18 MiB (663
+overpseudoprimes), and the whole script about 2 s with --workers 2, which
+the scan's walk uses.
 --skip-scan runs the census alone.
 """
 import argparse

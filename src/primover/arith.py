@@ -368,6 +368,15 @@ def euler_phi(f: Factorization) -> int:
     return prod(p ** (e - 1) * (p - 1) for p, e in f.factors)
 
 
+def cyclotomic_terms(n: int, primes: Iterable[int]) -> list[tuple[int, int]]:
+    """(n // d, mu(d)) for every squarefree divisor d of n, given n's
+    primes: Phi_n(a) = prod over them of (a^(n // d) - 1)^mu(d)."""
+    terms = [(n, 1)]
+    for p in primes:
+        terms += [(e // p, -s) for e, s in terms]
+    return terms
+
+
 def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
     """Order of a modulo the prime p, by descent from p - 1 over its primes."""
     h = p - 1

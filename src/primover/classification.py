@@ -21,6 +21,7 @@ from primover.arith import (
     Factorization,
     _strong_probable,
     check_prime,
+    cyclotomic_terms,
     factorize,
     mult_order,
     order_descent,
@@ -327,12 +328,48 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _walk(a: int, h: int, candidates: range, h_primes: tuple[int, ...]) -> list[int]:
-    """The primes among candidates at which a has order exactly h, ascending,
-    given h's primes. As (a/q) = a^((q-1)/2) mod q, a prime q of order h has
-    (a/q) = 1 exactly when 2h | q - 1; (a/q) depends only on q mod 4a, so
-    the classes mod lcm(2h, 4a) whose Jacobi symbol disagrees are skipped.
+def _primitive_part(a: int, h: int, h_primes: tuple[int, ...], seeds: tuple[int, ...]) -> int:
+    """Phi_h(a) with 2, h's largest prime and the seeds divided out, given
+    h's primes.
+
+    A prime p | Phi_h(a) does not divide a, and h = ord_p(a) * p^j, so p
+    has order h or is h's largest prime (2 for h = 2^j). With seeds every
+    odd prime of order h up to some x >= 2, the primes left all have order
+    h and exceed x.
     """
+    num = den = 1
+    for e, sign in cyclotomic_terms(h, h_primes):
+        if sign > 0:
+            num *= a**e - 1
+        else:
+            den *= a**e - 1
+    rest = num // den
+    for p in (2, *h_primes[-1:], *seeds):
+        while rest % p == 0:
+            rest //= p
+    return rest
+
+
+def _walk(
+    a: int, h: int, candidates: range, h_primes: tuple[int, ...], seeds: tuple[int, ...]
+) -> list[int]:
+    """The primes among candidates at which a has order exactly h, ascending,
+    given h's primes and the seeds, every odd prime of order h below them.
+
+    As (a/q) = a^((q-1)/2) mod q, a prime q of order h has (a/q) = 1
+    exactly when 2h | q - 1; (a/q) depends only on q mod 4a, so the classes
+    mod lcm(2h, 4a) whose Jacobi symbol disagrees are skipped.
+
+    A progression long enough to split, with a^h of at most
+    _SMALL_POWER_BITS bits, is walked against R = _primitive_part(a, h,
+    h_primes, seeds), whose primes are exactly those sought, and only up to
+    isqrt(R). With the primes found divided out of R, what is left is 1 or
+    a single prime above isqrt(R), listed when it is a candidate.
+    """
+    rest = 0
+    if len(candidates) > 2 * _CLASS_LENGTH and a.bit_length() * h <= _SMALL_POWER_BITS:
+        rest = _primitive_part(a, h, h_primes, seeds)
+        whole, candidates = candidates, candidates[: bisect_right(candidates, isqrt(rest))]
     classes = (candidates,)
     if len(candidates) > 2 * _CLASS_LENGTH:  # count >= 2, so no shorter one splits
         count = lcm(2 * h, 4 * a) // candidates.step
@@ -345,12 +382,18 @@ def _walk(a: int, h: int, candidates: range, h_primes: tuple[int, ...]) -> list[
             if len(kept) < count:
                 classes = kept
     if a.bit_length() * h <= _SMALL_POWER_BITS:
-        power = a**h - 1
+        power = rest or a**h - 1
         divisors = [q for c in classes for q in c if power % q == 0]
     else:
         divisors = [q for c in classes for q in c if pow(a, h, q) == 1]
     if len(classes) > 1:
         divisors.sort()
+    if rest:
+        for q in divisors:  # ascending, so a composite q no longer divides
+            while rest % q == 0:
+                rest //= q
+        if rest > 1 and rest in whole:
+            divisors.append(rest)
     return [
         q
         for q in divisors
@@ -368,9 +411,11 @@ _JOBS = 64
 
 
 def _walk_job(
-    a: int, walks: list[tuple[int, tuple[int, ...], range]]
+    a: int, walks: list[tuple[int, tuple[int, ...], tuple[int, ...], range]]
 ) -> list[tuple[int, int, int]]:
-    return [(q, 1, h) for h, h_primes, c in walks for q in _walk(a, h, c, h_primes)]
+    return [
+        (q, 1, h) for h, h_primes, seeds, c in walks for q in _walk(a, h, c, h_primes, seeds)
+    ]
 
 
 def _enumerate_strong_pseudoprimes(
@@ -393,11 +438,15 @@ def _enumerate_strong_pseudoprimes(
     (mod h) already ensures. Walking P = 1 (mod lcm(2, h)) up to
     bound // k_min(h), k_min(h) the least such k by the table, finds every
     such P; no k, no walk. k_min(h) is read from one slice of cls, the
-    list of each k's class, so each h is planned in one pass.
+    list of each k's class, so each h is planned in one pass. Each walk
+    gets the seeds of order h, so a long small-power progression is tested
+    only up to the square root of Phi_h(a) with its primes up to
+    isqrt(bound) divided out (see _walk).
 
-    The progressions, as (h, primes of h, candidates), are dealt into at
-    most _JOBS interleaved jobs. With workers > 1 (None: the run's setting)
-    they run in a process pool of at most one process per job.
+    The progressions, as (h, primes of h, seeds of order h, candidates),
+    are dealt into at most _JOBS interleaved jobs. With workers > 1 (None:
+    the run's setting) they run in a process pool of at most one process
+    per job.
     progress(done, total) is called once per job, in order, counts walk
     steps and ends with done == total.
 
@@ -420,6 +469,9 @@ def _enumerate_strong_pseudoprimes(
     table = smallest_factor_table(root)
     atoms = _seeds(a, bound, table)
     order = {q: h for q, _, h in atoms}
+    seeds: dict[int, list[int]] = {}  # the seeds of each order
+    for q, _, h in atoms:
+        seeds.setdefault(h, []).append(q)
     # lam[k]: the lcm of k's primes' seed orders if all are in one class, or 0
     lam = [0] * (root + 1)
     for k in range(3, root + 1, 2):
@@ -435,10 +487,10 @@ def _enumerate_strong_pseudoprimes(
             continue
         k_min = step * (row.index(c) + 1) + 1
         if candidates := _progression(a, h, root + 1, bound // k_min):
-            walks.append((h, _prime_divisors(h, table), candidates))
+            walks.append((h, _prime_divisors(h, table), tuple(seeds.get(h, ())), candidates))
     jobs = [walks[j::_JOBS] for j in range(min(_JOBS, len(walks)))]
     walk_job = partial(_walk_job, a)
-    total = sum(len(candidates) for _, _, candidates in walks)
+    total = sum(len(candidates) for _, _, _, candidates in walks)
     done = 0
     workers = settings().workers if workers is None else workers
     parallel = workers > 1 and len(jobs) > 1
@@ -448,7 +500,7 @@ def _enumerate_strong_pseudoprimes(
         results = pool.imap(walk_job, jobs) if parallel else map(walk_job, jobs)
         for job, walked in zip(jobs, results):
             atoms.extend(walked)
-            done += sum(len(candidates) for _, _, candidates in job)
+            done += sum(len(candidates) for _, _, _, candidates in job)
             if progress is not None:
                 progress(done, total)
 
@@ -537,8 +589,9 @@ def strong_pseudoprime_ordinal(
     """1-based position of n in the ordered strong pseudoprimes to base a.
 
     Enumerates the strong pseudoprimes up to n and counts no primes. The
-    walk above isqrt(n) dominates the cost, about 0.012 * n steps for base
-    2 near 10^9; workers and progress(done, total) apply to it, as in scan.
+    walk above isqrt(n) plans about 0.012 * n steps for base 2 near 10^9
+    and tests about a ninth of them; workers and progress(done, total)
+    apply to it, as in scan.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
@@ -563,8 +616,12 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     q | n has exponent 1, and in class h, q = 1 (mod lcm(2, h)),
     q | a^h - 1 and q <= bound // p_min(h), the smallest seed of the class;
     walking that progression for primes of order exactly h loses no class
-    member. No strong test is involved: an independent check on the
-    strong-pseudoprime list, whose enumeration shares only these atoms.
+    member. The class's seeds go to the walk, which then tests a long
+    small-power progression only up to the square root of Phi_h(a) with
+    its primes up to isqrt(bound) divided out (see _walk); a class whose
+    progression is empty is not walked. No strong test is involved: an
+    independent check on the strong-pseudoprime list, whose enumeration
+    shares only these atoms.
     """
     if a < 2:
         raise DomainError("base must be at least 2")
@@ -578,8 +635,10 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     for p, e, h in _seeds(a, bound, table):
         classes.setdefault(h, []).append((p, e))
     for h, atoms in classes.items():
-        candidates = _progression(a, h, root + 1, bound // atoms[0][0])
-        atoms.extend((q, 1) for q in _walk(a, h, candidates, _prime_divisors(h, table)))
+        if candidates := _progression(a, h, root + 1, bound // atoms[0][0]):
+            seeds = tuple(p for p, _ in atoms)
+            walked = _walk(a, h, candidates, _prime_divisors(h, table), seeds)
+            atoms.extend((q, 1) for q in walked)
 
     found: list[int] = []
 

@@ -59,7 +59,7 @@ _KINDS = {
 _SETTING_FLAGS = {"cache": "cache_path", "ceiling": "coset_ceiling", "workers": "workers"}
 
 # ordinal needs --deep above this subject; the enumeration to 999828727
-# (#1282) takes 1.1-1.4 s on one core of a 2-core Xeon
+# (#1282) takes 0.8-1.2 s on one core of a 2-core Xeon
 _DEEP_BOUND = 10**9
 
 

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from math import gcd, log, prod
 from typing import NamedTuple
 
-from primover.arith import Factorization, euler_phi, factorize, is_prime, mult_order
+from primover.arith import (
+    Factorization,
+    cyclotomic_terms,
+    euler_phi,
+    factorize,
+    is_prime,
+    mult_order,
+)
 from primover.classification import Classification, Status, classify
 from primover.errors import DomainError, ResourceError
 
@@ -77,9 +84,7 @@ def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
             f"{f.subject} has {len(f.factors)} distinct primes; "
             f"the term count 2^k is capped at k = {MAX_DISTINCT_PRIMES}"
         )
-    terms = [(f.subject, 1)]
-    for p in f.primes:
-        terms += [(e // p, -s) for e, s in terms]
+    terms = cyclotomic_terms(f.subject, f.primes)
     terms.sort(key=lambda t: (-t[1], t[0]))
     return tuple(terms)
 

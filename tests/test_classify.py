@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -13,10 +13,22 @@ from hypothesis import strategies as st
 import primover
 import primover.arith
 import primover.classification
-from primover.arith import factorize, is_prime, order_tower, prime_count, use_config
+from primover.arith import (
+    factorize,
+    is_prime,
+    order_tower,
+    prime_count,
+    smallest_factor_table,
+    use_config,
+)
 from primover.classification import (
+    _SMALL_POWER_BITS,
     Status,
     _jacobi,
+    _prime_divisors,
+    _primitive_part,
+    _seeds,
+    _walk,
     classify,
     is_strong_pseudoprime,
     is_superpseudoprime,
@@ -519,17 +531,51 @@ class TestCharacterWalk:
         primover.classification._enumerate_strong_pseudoprimes(base, 10**6 + 1, workers=1)
         overpseudoprimes_upto(base, 10**6 + 1)
         assert calls
-        # split every progression that has few enough classes, however short
-        monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", 0)
-        for a, h, candidates, h_primes in calls:
-            whole = [
+        wholes = [
+            [
                 q
                 for q in candidates
                 if pow(a, h, q) == 1
                 and all(pow(a, h // r, q) != 1 for r in h_primes)
                 and naive_is_prime(q)
             ]
-            assert walk(a, h, candidates, h_primes) == whole, (h, candidates)
+            for a, h, candidates, h_primes, _ in calls
+        ]
+        # 0: cap and split every small-power progression, however short
+        for length in (primover.classification._CLASS_LENGTH, 0):
+            monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", length)
+            for (a, h, candidates, h_primes, seeds), whole in zip(calls, wholes):
+                assert walk(a, h, candidates, h_primes, seeds) == whole, (h, candidates)
+
+    def test_primitive_part(self):
+        # Phi_h(a) is R_h times powers of 2, h's largest prime and the seeds
+        # of order h, and R_h keeps no prime up to the root
+        root = 1024
+        table = smallest_factor_table(root)
+        small = prod(p for p in range(2, root + 1) if table[p] == p)
+        for a in range(2, 21):
+            seeds = {}
+            for p, _, h in _seeds(a, root * root, table):
+                seeds.setdefault(h, []).append(p)
+            for h in range(1, min(root, _SMALL_POWER_BITS // a.bit_length()) + 1):
+                h_primes = _prime_divisors(h, table)
+                rest = _primitive_part(a, h, h_primes, tuple(seeds.get(h, ())))
+                divided, remainder = divmod(moebius_cofactor(a, h), rest)
+                assert remainder == 0, (a, h)
+                for p in (2, *h_primes[-1:], *seeds.get(h, ())):
+                    while divided % p == 0:
+                        divided //= p
+                assert divided == 1, (a, h)
+                assert gcd(rest, small) == 1, (a, h)
+
+    def test_wieferich_squares_in_the_primitive_part(self, monkeypatch):
+        # 1093^2 | Phi_364(2) and Phi_5(3) = 11^2: the walk divides out every
+        # power of a prime it finds, so what is left is not taken for a prime
+        progression = primover.classification._progression
+        assert _walk(2, 364, progression(2, 364, 1001, 10**5), (2, 7, 13), ()) == [1093, 4733]
+        # with 11 a candidate the walk reaches isqrt(121) and leaves 1
+        monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", 0)
+        assert _walk(3, 5, progression(3, 5, 4, 10**4), (5,), ()) == [11]
 
 
 class TestCensus:
@@ -614,6 +660,17 @@ class TestCensus:
             tracemalloc.stop()
         assert len(census) == 119
         assert peak < 8 << 20
+
+    @pytest.mark.parametrize("base", (2, 3))
+    def test_matches_scan_filter_to_1e8(self, base):
+        report = scan(base, 10**8)
+        if base == 2:
+            assert len(report.strong_pseudoprimes) == 488  # Pinch; OEIS A055550
+        assert overpseudoprimes_upto(base, 10**8) == tuple(
+            n
+            for n in report.strong_pseudoprimes
+            if overpseudoprime_by_order_criterion(base, n).ok
+        )
 
     @pytest.mark.deep
     def test_matches_scan_filter_to_1e9(self):
