@@ -403,11 +403,24 @@ def _walk(
 
 # --- strong pseudoprimes by enumeration ------------------------------------
 
-# a search node with at most this many completions left tests them all
-_COMPLETIONS = 32
 # the walk's progressions are dealt into this many jobs, the unit of the
 # pool and of progress reports
 _JOBS = 64
+
+
+def _seed_products(seeds: list[int], bits: int) -> list[int]:
+    """products[k] for k <= bits: the product of the seeds below
+    2^((k + 1) // 2), the next power of two above isqrt(m) for every m of k
+    bits. So every seed up to isqrt(m) divides products[m.bit_length()].
+    seeds ascend.
+    """
+    products, product, i = [], 1, 0
+    for k in range(bits + 1):
+        while i < len(seeds) and seeds[i] < 1 << (k + 1) // 2:
+            product *= seeds[i]
+            i += 1
+        products.append(product)
+    return products
 
 
 def _walk_job(
@@ -456,14 +469,25 @@ def _enumerate_strong_pseudoprimes(
     the valuation of the order mod p. So the atoms are grouped by h & -h,
     and each class is searched on its own. A depth-first search multiplies
     the class's atoms from the largest down, keeping the product s and L.
-    It tests s when s is composite and s = 1 (mod L). Once
-    (bound // s) // L is at most _COMPLETIONS, it tests every
-    t = s^-1 (mod L) with 1 < t <= bound // s and stops; otherwise it goes
-    on to smaller atoms; a completion t <= isqrt(bound) needs lam[t], the
-    lcm of its primes' orders by the table, in the class and dividing
-    s * t - 1. Every number listed is composite by construction and passed
-    the strong test, so the list is certified. Each n carries the order h
-    of the last atom multiplied in, factored by the table.
+    It tests s when s is composite and s = 1 (mod L). With m = bound // s,
+    it goes on to the atoms below s's smallest prime q and up to m only
+    when m > isqrt(bound) and the completions t = s^-1 (mod L),
+    1 < t <= m, outnumber those atoms; otherwise it tests the completions
+    and stops. A completion t <= isqrt(bound) needs lam[t], the lcm of its
+    primes' orders by the table, in the class and dividing s * t - 1.
+    Of the larger t only products of two or more seeds of the class below
+    q matter: every other n is found on the path of its own primes. Such a
+    t has such a seed up to isqrt(t), so t is skipped when it is coprime to
+    the product of the class's seeds below the next power of two above
+    isqrt(m) (_seed_products), or when, with the primes it shares with
+    that product divided out, what is left is a k with
+    1 < k <= isqrt(bound) whose primes are not all seeds of the class.
+    Every number listed is composite by construction and passed the strong
+    test, so the list is certified. Each n carries the order h of the last
+    atom multiplied in, factored by the table.
+
+    Base 2 / 3 / 5 / 7 to 2^20 takes 212 / 237 / 226 / 223 strong tests,
+    and base 2 to 10^9 8,547.
     """
     root = isqrt(bound)
     table = smallest_factor_table(root)
@@ -510,10 +534,16 @@ def _enumerate_strong_pseudoprimes(
     found: dict[int, int] = {}
 
     def search(
-        atoms: list[tuple[int, int, int]], primes: list[int], c: int, end: int, s: int, L: int
+        atoms: list[tuple[int, int, int]],
+        primes: list[int],
+        c: int,
+        products: list[int],
+        top: int,
+        s: int,
+        L: int,
     ) -> None:
-        # the atoms below index end are smaller than every prime of s
-        for i in range(bisect_right(primes, bound // s, 0, end) - 1, -1, -1):
+        # atoms[:top] are the atoms at most bound // s and below every prime of s
+        for i in range(top - 1, -1, -1):
             q, e_max, h = atoms[i]
             if L % q == 0 or gcd(h, s) != 1:
                 continue
@@ -526,19 +556,38 @@ def _enumerate_strong_pseudoprimes(
                 if (s > 1 or e > 1) and v % L_q == 1 and _strong_probable(v, a):
                     found[v] = h
                 m = bound // v
-                if m // L_q > _COMPLETIONS:
-                    search(atoms, primes, c, i, v, L_q)
+                if m > root:
+                    below = bisect_right(primes, m, 0, i)
+                    if m // L_q > below:
+                        search(atoms, primes, c, products, below, v, L_q)
+                        continue
+                # t = 1 (n = v, tested above) has cls[1] = 0; most leaves have
+                # no completion, or one, where a while loop beats a range
+                t = pow(v, -1, L_q)
+                last = min(m, root)
+                while t <= last:
+                    if cls[t] == c and (v * t - 1) % lam[t] == 0 and _strong_probable(v * t, a):
+                        found[v * t] = h
+                    t += L_q
+                if m <= root:
                     continue
-                t0 = pow(v, -1, L_q)
-                for t in range(t0 if t0 > 1 else t0 + L_q, m + 1, L_q):
-                    if t <= root and (cls[t] != c or (v * t - 1) % lam[t]):
+                product = products[m.bit_length()]
+                for t in range(t, m + 1, L_q):
+                    if (g := gcd(t, product)) == 1:
+                        continue
+                    k = t // g
+                    while (d := gcd(k, g)) > 1:
+                        k //= d
+                    if 1 < k <= root and cls[k] != c:
                         continue
                     if _strong_probable(v * t, a):
                         found[v * t] = h
 
     for c, members in classes.items():
         members.sort()
-        search(members, [q for q, _, _ in members], c, len(members), 1, 2)
+        primes = [q for q, _, _ in members]
+        products = _seed_products([q for q in primes if q <= root], bound.bit_length())
+        search(members, primes, c, products, len(members), 1, 2)
     return [(n, h, _prime_divisors(h, table)) for n, h in sorted(found.items())]
 
 

@@ -58,8 +58,8 @@ _KINDS = {
 # flag -> the Config field it overrides for this run
 _SETTING_FLAGS = {"cache": "cache_path", "ceiling": "coset_ceiling", "workers": "workers"}
 
-# ordinal needs --deep above this subject; the enumeration to 999828727
-# (#1282) takes 0.8-1.2 s on one core of a 2-core Xeon
+# ordinal needs --deep above this subject; `primover ordinal 999828727`
+# (#1282) takes 0.75-0.85 s on one core of a 2-core Xeon
 _DEEP_BOUND = 10**9
 
 

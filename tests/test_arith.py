@@ -308,9 +308,59 @@ class TestPrimeCount:
         for x in points:
             assert prime_count(x) == bisect_right(primes, x), x
 
+    def test_matches_sieve_at_cubes(self):
+        # the passes stop at y = icbrt(x), which moves at each cube
+        primes = primes_upto((1 << 22) + 2)
+        points = [k**3 + d for k in range(1, 162) for d in (-1, 0, 1)]
+        assert 161**3 <= (1 << 22) + 1 < 162**3
+        for x in points:
+            assert prime_count(x) == bisect_right(primes, x), x
+
+    def test_matches_sieve_at_semiprimes_of_the_first_skipped_prime(self):
+        # p * q with p the first prime above icbrt(p * q), the first prime
+        # whose pass is skipped and the first term of the P2 sum: every one
+        # up to 2^20, and the least and the greatest for each p up to 2^22
+        primes = primes_upto(1 << 22)
+        points = set()
+        for qs in semiprimes_of_the_first_skipped_prime(primes, 1 << 22).values():
+            points.update(x for x in qs if x <= 1 << 20)
+            points.update((qs[0], qs[-1]))
+        assert len(points) == 1851
+        for x in sorted(points):
+            assert prime_count(x) == bisect_right(primes, x), x
+
+    @pytest.mark.deep
+    def test_matches_sieve_at_every_semiprime_of_the_first_skipped_prime(self):
+        primes = primes_upto(1 << 22)
+        points = semiprimes_of_the_first_skipped_prime(primes, 1 << 22).values()
+        assert sum(map(len, points)) == 4159
+        for x in (x for qs in points for x in qs):
+            assert prime_count(x) == bisect_right(primes, x), x
+
     def test_published_values(self):
-        assert prime_count(10**9) == 50_847_534
+        # pi(10^k), OEIS A006880
+        published = (4, 25, 168, 1229, 9592, 78498, 664579, 5761455, 50847534)
+        for k, pi in enumerate(published, 1):
+            assert prime_count(10**k) == pi, k
         assert prime_count(1 << 32) == 203_280_221
+
+
+def semiprimes_of_the_first_skipped_prime(primes, bound):
+    """{p: the ascending p * q <= bound, q >= p prime, with p the least prime
+    above the integer cube root of p * q}; primes holds every prime up to
+    bound."""
+    cubes = [k**3 for k in range(round(bound ** (1 / 3)) + 2)]
+    found = {}
+    for i, p in enumerate(primes):
+        if p * p > bound:
+            break
+        for q in primes[i:]:
+            if p * q > bound:
+                break
+            y = bisect_right(cubes, p * q) - 1
+            if primes[bisect_right(primes, y)] == p:
+                found.setdefault(p, []).append(p * q)
+    return found
 
 
 @settings(max_examples=200)

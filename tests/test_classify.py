@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -27,6 +27,7 @@ from primover.classification import (
     _jacobi,
     _prime_divisors,
     _primitive_part,
+    _seed_products,
     _seeds,
     _walk,
     classify,
@@ -75,6 +76,19 @@ def longhand_spsp_to_2_20(base):
 
 def longhand_spsp_upto(base, bound):
     return [n for n in longhand_spsp_to_2_20(base) if n <= bound]
+
+
+def strong_tests(monkeypatch):
+    """The numbers the search strong-tests from now on, in order."""
+    calls = []
+    real = primover.classification._strong_probable
+
+    def counted(n, a):
+        calls.append(n)
+        return real(n, a)
+
+    monkeypatch.setattr(primover.classification, "_strong_probable", counted)
+    return calls
 
 
 @lru_cache(maxsize=None)
@@ -447,7 +461,7 @@ class TestEnumeration:
     # so (a/q) = 1 at every prime q not dividing them
     @pytest.mark.parametrize("base", (2, 3, 4, 5, 6, 7, 9, 10, 15))
     def test_matches_longhand_to_2_20(self, base):
-        bounds = (2046, 2047, (1 << 17) + 1, 10**6 - 1, 10**6, 1 << 20)
+        bounds = (2046, 2047, (1 << 17) + 1, 10**6 - 1, 10**6, 10**6 + 1, 1 << 20)
         for bound in bounds:
             found = list(scan(base, bound).strong_pseudoprimes)
             assert found == longhand_spsp_upto(base, bound), bound
@@ -477,19 +491,56 @@ class TestEnumeration:
         assert 4371 in longhand_spsp_upto(4, 10**4)
 
     def test_order_table_skips_completions(self, monkeypatch):
-        # the order table decides the completions up to isqrt(bound): base 2
-        # to 2^20 took 1,730 strong tests before it, and needs 836 with it
-        calls = []
-        real = primover.classification._strong_probable
-
-        def counted(n, a):
-            calls.append(n)
-            return real(n, a)
-
-        monkeypatch.setattr(primover.classification, "_strong_probable", counted)
+        # the order table decides the completions up to isqrt(bound), and the
+        # class products screen those above it: base 2 to 2^20 took 1,730
+        # strong tests before the table, 836 with it, and 212 with leaves
+        # chosen by cost and the screen
+        calls = strong_tests(monkeypatch)
         found = primover.classification._enumerate_strong_pseudoprimes(2, 1 << 20)
         assert tuple(n for n, _, _ in found) == longhand_spsp_to_2_20(2)
-        assert len(calls) <= 900
+        assert len(calls) <= 212
+
+    # 6 and 10 have many 2-adic classes, where most leaves have completions
+    # above the root
+    @pytest.mark.parametrize(
+        "base, tests", ((2, 212), (3, 237), (5, 226), (7, 223), (6, 249), (10, 224))
+    )
+    def test_strong_tests_at_2_20(self, base, tests, monkeypatch):
+        calls = strong_tests(monkeypatch)
+        found = primover.classification._enumerate_strong_pseudoprimes(base, 1 << 20)
+        assert [n for n, _, _ in found] == longhand_spsp_upto(base, 1 << 20)
+        assert len(calls) == tests
+
+    def test_screen_divides_out_shared_prime_powers(self, monkeypatch):
+        # a completion p^2 * k above the root divided by its gcd with the
+        # class product only once leaves p * k; at 2^22 some such p * k
+        # exceed the root, where the table cannot check their class, and
+        # base 2 would take 447 strong tests
+        calls = strong_tests(monkeypatch)
+        found = primover.classification._enumerate_strong_pseudoprimes(2, 1 << 22)
+        assert len(found) == 104 and len(calls) == 444
+
+    @pytest.mark.parametrize("bound", (10**5 + 1, 10**6 + 1, 1 << 20))
+    def test_class_products_cover_every_leaf(self, bound):
+        # a leaf above the root has m = bound // v > isqrt(bound) for an odd
+        # v > 1, and screens with products[m.bit_length()] of its class: each
+        # seed of the class up to isqrt(m) must divide it. For each bit
+        # length, the largest such isqrt(m) is the one to check.
+        root = isqrt(bound)
+        table = smallest_factor_table(root)
+        reach = {}
+        for v in range(3, bound // (root + 1) + 1, 2):
+            m = bound // v
+            reach[m.bit_length()] = max(reach.get(m.bit_length(), 0), isqrt(m))
+        for base in range(2, 80):
+            classes = {}
+            for q, _, h in _seeds(base, bound, table):
+                classes.setdefault(h & -h, []).append(q)
+            for seeds in classes.values():
+                products = _seed_products(seeds, bound.bit_length())
+                for bits, r in reach.items():
+                    for q in seeds:
+                        assert q > r or products[bits] % q == 0, (base, bits, q)
 
     def test_prime_power_atoms(self):
         # 1093^2 and 3511^2 are the base-2 Wieferich squares, 11^2 the base-3 one
