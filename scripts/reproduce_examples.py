@@ -7,9 +7,9 @@ the prime-power cofactor at 5^2, the mixed cofactor at 3^2*5, and the
 primitive cofactor of 2^70-1. For the primover outcomes it also locates the
 value in the ordered list of strong pseudoprimes to base 2.
 
-The Fermat ordinal (position 2315, an enumeration to 4.3e9 that takes 6-7 s
-on one core and about 4 s with --workers 2) only runs with --deep; it
-reports its walk on stderr.
+The Fermat ordinal (position 2315, an enumeration to 4.3e9 that takes
+1.3-1.8 s on one core or two) only runs with --deep; it reports its walk on
+stderr.
 Exits 1 if any ordinal differs from the expected one, 0 otherwise.
 """
 import argparse

@@ -25,6 +25,7 @@ from primover.errors import (
     DomainError,
     IncompleteFactorizationError,
     TooManyDivisorsError,
+    format_powers,
 )
 
 # The first thirteen prime bases are a proven-deterministic witness set below
@@ -95,9 +96,8 @@ def prime_count(n: int) -> int:
     each p * q <= n with p <= q primes above y and 13 (three such primes
     exceed n). So pi(n) = S(n) - sum over the primes p <= isqrt(n) above y
     and 13 of S(n // p) - S(p) + 1. About n^(3/4) / log(n) steps in O(sqrt(n))
-    memory. On one core of a 2-core Xeon with Python 3.11.7, with passes
-    to isqrt(n) as the baseline, pi(2^20) takes 2.1 ms (2.7 ms), pi(10^9)
-    0.49 s (0.59 s) and pi(10^10) 2.4-2.7 s (3.1-3.4 s).
+    memory. On one core of a 2-core Xeon with Python 3.11.7, pi(2^20)
+    takes 2.1 ms, pi(10^9) 0.49 s and pi(10^10) 2.4-2.7 s.
     """
     if n < 2:
         return 0
@@ -253,9 +253,7 @@ class Factorization:
         return sorted(divs)
 
     def __str__(self) -> str:
-        if not self.factors:
-            return str(self.subject)
-        return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors)
+        return format_powers(self.factors) if self.factors else str(self.subject)
 
 
 _TRIAL_BLOCK = 1024
@@ -323,8 +321,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
 
 
 def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
-    if m == 1:
-        return
+    # m >= 2: factorize passes m > 1, and both parts of a split exceed 1
     if check_prime(m).value:
         counts[m] = counts.get(m, 0) + 1
         return
@@ -392,6 +389,21 @@ def cyclotomic_terms(n: int, primes: Iterable[int]) -> list[tuple[int, int]]:
     return terms
 
 
+def cyclotomic_value(a: int, terms: Iterable[tuple[int, int]]) -> int:
+    """The exact quotient prod (a^e - 1)^sign over terms, such as
+    cyclotomic_terms(n, primes) for Phi_n(a); a remainder raises."""
+    num = den = 1
+    for e, sign in terms:
+        if sign > 0:
+            num *= a**e - 1
+        else:
+            den *= a**e - 1
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"the denominator does not divide the numerator at base {a}")
+    return value
+
+
 def order_descent(a: int, p: int, primes: tuple[int, ...]) -> int:
     """Order of a modulo the prime p, by descent from p - 1 over its primes."""
     h = p - 1
@@ -421,19 +433,21 @@ def order_tower(a: int, p: int, l: int) -> tuple[int, ...]:
     return tuple(orders)
 
 
-def mult_order(a: int, n: int, *, factorization: Factorization | None = None) -> int:
-    """The multiplicative order of a modulo n: the least h > 0 with a^h = 1 mod n."""
+def require_base(a: int) -> None:
+    """The one guard on a base that every entry taking one shares."""
     if a < 2:
         raise DomainError("base must be at least 2")
+
+
+def mult_order(a: int, n: int, *, factorization: Factorization | None = None) -> int:
+    """The multiplicative order of a modulo n: the least h > 0 with a^h = 1 mod n."""
+    require_base(a)
     if n < 2:
         raise DomainError("modulus must be at least 2")
     if gcd(a, n) != 1:
         raise DomainError(f"order undefined: gcd({a}, modulus) > 1")
     f = factorize(n) if factorization is None else require_subject(factorization, n)
-    order = 1
-    for p, e in f.factors:
-        order = lcm(order, order_tower(a, p, e)[-1])
-    return order
+    return lcm(*(h for _, _, h in prime_power_orders(a, f)))
 
 
 def require_subject(f: Factorization, n: int) -> Factorization:
@@ -522,10 +536,7 @@ class FactorizationCache:
                 return
             self._table[f.subject] = f.factors
             if self._path is not None:
-                record = " ".join(
-                    [str(f.subject)]
-                    + [f"{p}^{e}" if e > 1 else str(p) for p, e in f.factors]
-                )
+                record = f"{f.subject} {format_powers(f.factors, ' ')}"
                 try:
                     with open(self._path, "a", encoding="ascii") as fh:
                         fh.write(record + "\n")

@@ -22,24 +22,24 @@ from primover.arith import (
     _strong_probable,
     check_prime,
     cyclotomic_terms,
+    cyclotomic_value,
     factorize,
     mult_order,
     order_descent,
     prime_power_orders,
     prime_count,
-    require_subject,
+    require_base,
     settings,
     smallest_factor_table,
 )
 from primover.cosets import coset_count
-from primover.errors import DomainError
+from primover.errors import DomainError, IncompleteFactorizationError
 
 
 class Status(str, Enum):
     PRIME = "prime"
     OVERPSEUDOPRIME = "overpseudoprime"
     COMPOSITE_NOT_PRIMOVER = "composite-not-primover"
-    OUT_OF_DOMAIN = "out-of-domain"
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ class OrderCriterionTest(NamedTuple):
 
 
 def _require_odd_composite(a: int, n: int) -> None:
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    require_base(a)
     if n <= 2 or n % 2 == 0:
         raise DomainError("subject must be odd and exceed 2")
     if gcd(a, n) != 1:
@@ -90,27 +89,20 @@ def _require_odd_composite(a: int, n: int) -> None:
         raise DomainError(f"subject {n} is prime; the test needs a composite")
 
 
-def overpseudoprime_by_coset_count(
-    a: int, n: int, *, factorization: Factorization | None = None
-) -> CosetCountTest:
+def overpseudoprime_by_coset_count(a: int, n: int) -> CosetCountTest:
     """The defining test: does n equal r * h + 1?
 
     Inherits the run's coset enumeration ceiling; past it, use the order
     criterion instead.
     """
     _require_odd_composite(a, n)
-    f = factorization if factorization is not None else factorize(n)
+    f = factorize(n)
     r = coset_count(a, n, factorization=f)
     h = mult_order(a, n, factorization=f)
     return CosetCountTest(n == r * h + 1, r, h)
 
 
-def overpseudoprime_by_order_criterion(
-    a: int,
-    n: int,
-    *,
-    factorization: Factorization | None = None,
-) -> OrderCriterionTest:
+def overpseudoprime_by_order_criterion(a: int, n: int) -> OrderCriterionTest:
     """Criterion form: one shared order across every prime power dividing n.
 
     Checking prime powers suffices; the order mod a product of coprime
@@ -118,12 +110,12 @@ def overpseudoprime_by_order_criterion(
     same order at every divisor > 1.
     """
     _require_odd_composite(a, n)
-    return _order_criterion(a, n, factorization)
+    return _order_criterion(a, n)
 
 
-def _order_criterion(a: int, n: int, f: Factorization | None) -> OrderCriterionTest:
+def _order_criterion(a: int, n: int) -> OrderCriterionTest:
     """overpseudoprime_by_order_criterion for an odd composite n coprime to a."""
-    f = factorize(n) if f is None else require_subject(f, n)
+    f = factorize(n)
     orders = prime_power_orders(a, f)
     h = lcm(*(t[2] for t in orders))
     ok = all(t[2] == h for t in orders)
@@ -141,14 +133,9 @@ def _certified(a: int, n: int, h: int, h_primes: tuple[int, ...]) -> bool:
     return pow(a, h, n) == 1 and all(gcd(pow(a, h // r, n) - 1, n) == 1 for r in h_primes)
 
 
-def classify(
-    a: int,
-    n: int,
-    *,
-    factorization: Factorization | None = None,
-    order: int | None = None,
-) -> Classification:
-    """Full classification of n to base a.
+def classify(a: int, n: int, *, order: int | None = None) -> Classification:
+    """Full classification of n to base a; a base below 2 or a subject
+    below 2 raises DomainError.
 
     Composites are judged by the order criterion; when n is within the run's
     coset_ceiling the coset-count definition is evaluated too and any
@@ -157,19 +144,15 @@ def classify(
     order is a hint: a candidate for the order of a mod n. When it passes
     the order certificate (see _certified; the hint is factored for it),
     every prime power of n gives a that order, so n is still factored for
-    the evidence but the order criterion's order computations are skipped.
-    A hint that fails the certificate is ignored and the order criterion
-    decides, so a hint changes only the cost of a verdict, never the
-    verdict.
+    the evidence but the order criterion's order computations are skipped;
+    if that factorization runs out of budget, the certified verdict comes
+    back without factors or orders. A hint that fails the certificate is
+    ignored and the order criterion decides, so a hint changes only the
+    cost of a verdict, never the verdict.
     """
-    if a < 2:
-        return Classification(
-            n, a, Status.OUT_OF_DOMAIN, Evidence(reason="base must be at least 2")
-        )
+    require_base(a)
     if n <= 1:
-        return Classification(
-            n, a, Status.OUT_OF_DOMAIN, Evidence(reason="subject must exceed 1")
-        )
+        raise DomainError("subject must exceed 1")
     verdict = check_prime(n)
     if verdict.value:
         return Classification(
@@ -191,11 +174,15 @@ def classify(
             Evidence(reason=f"shares the factor {g} with the base"),
         )
     if order is not None and order > 1 and _certified(a, n, order, factorize(order).primes):
-        f = factorize(n) if factorization is None else require_subject(factorization, n)
+        try:
+            f = factorize(n)
+        except IncompleteFactorizationError:
+            reason = f"order certificate for h = {order} holds; the factorization budget ran out"
+            return Classification(n, a, Status.OVERPSEUDOPRIME, Evidence(h=order, reason=reason))
         orders = tuple((p, j, order) for p, e in f.factors for j in range(1, e + 1))
         crit = OrderCriterionTest(True, f, orders, order)
     else:
-        crit = _order_criterion(a, n, factorization)
+        crit = _order_criterion(a, n)
     r = None
     if n <= settings().coset_ceiling:
         r = coset_count(a, n, factorization=crit.factorization)
@@ -241,18 +228,14 @@ def is_strong_pseudoprime(a: int, n: int) -> bool:
 _MAX_DIVISORS = 10_000
 
 
-def is_superpseudoprime(
-    a: int, n: int, *, factorization: Factorization | None = None
-) -> bool:
+def is_superpseudoprime(a: int, n: int) -> bool:
     """Does every divisor d > 1 of composite n satisfy a^(d-1) = 1 mod d?
 
     Fermat's test passed by n and all of its parts at once.
     """
     _require_odd_composite(a, n)
-    f = factorize(n) if factorization is None else require_subject(factorization, n)
-    return all(
-        pow(a, d - 1, d) == 1 for d in f.divisors(cap=_MAX_DIVISORS) if d > 1
-    )
+    divisors = factorize(n).divisors(cap=_MAX_DIVISORS)
+    return all(pow(a, d - 1, d) == 1 for d in divisors if d > 1)
 
 
 # --- order atoms -----------------------------------------------------------
@@ -337,13 +320,7 @@ def _primitive_part(a: int, h: int, h_primes: tuple[int, ...], seeds: tuple[int,
     odd prime of order h up to some x >= 2, the primes left all have order
     h and exceed x.
     """
-    num = den = 1
-    for e, sign in cyclotomic_terms(h, h_primes):
-        if sign > 0:
-            num *= a**e - 1
-        else:
-            den *= a**e - 1
-    rest = num // den
+    rest = cyclotomic_value(a, cyclotomic_terms(h, h_primes))
     for p in (2, *h_primes[-1:], *seeds):
         while rest % p == 0:
             rest //= p
@@ -492,16 +469,17 @@ def _enumerate_strong_pseudoprimes(
     root = isqrt(bound)
     table = smallest_factor_table(root)
     atoms = _seeds(a, bound, table)
-    order = {q: h for q, _, h in atoms}
     seeds: dict[int, list[int]] = {}  # the seeds of each order
-    for q, _, h in atoms:
-        seeds.setdefault(h, []).append(q)
     # lam[k]: the lcm of k's primes' seed orders if all are in one class, or 0
     lam = [0] * (root + 1)
+    for q, _, h in atoms:
+        seeds.setdefault(h, []).append(q)
+        lam[q] = h
     for k in range(3, root + 1, 2):
         q = table[k]
-        h, rest = order.get(q, 0), lam[k // q]
-        lam[k] = h if k == q else lcm(rest, h) if h and rest & -rest == h & -h else 0
+        if q < k:
+            h, rest = lam[q], lam[k // q]
+            lam[k] = lcm(rest, h) if h and rest & -rest == h & -h else 0
     cls = [lam_k & -lam_k for lam_k in lam]  # the class of k's primes, or 0
     walks = []
     for h in range(1, root + 1):
@@ -618,8 +596,7 @@ def scan(
     certificate for h (_certified, which classify shares), as then every
     prime of n gives a the order h.
     """
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    require_base(a)
     if bound < 3:
         raise DomainError("bound must be at least 3")
     found = _enumerate_strong_pseudoprimes(a, bound, workers=workers, progress=progress)
@@ -642,8 +619,7 @@ def strong_pseudoprime_ordinal(
     and tests about a ninth of them; workers and progress(done, total)
     apply to it, as in scan.
     """
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    require_base(a)
     if not is_strong_pseudoprime(a, n):
         raise DomainError(f"{n} is not a strong pseudoprime to base {a}")
     found = _enumerate_strong_pseudoprimes(a, n, workers=workers, progress=progress)
@@ -672,8 +648,7 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
     independent check on the strong-pseudoprime list, whose enumeration
     shares only these atoms.
     """
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    require_base(a)
     if bound < 9:
         return ()
     root = isqrt(bound)

@@ -24,7 +24,6 @@ from typing import Callable
 from primover import arith, construct
 from primover.classification import (
     Classification,
-    Status,
     classify as classify_subject,
     scan as scan_range,
     strong_pseudoprime_ordinal,
@@ -219,8 +218,6 @@ def _verdict_report(v: construct.ConstructionVerdict):
 
 def _cmd_classify(args):
     c = classify_subject(args.base, args.subject)
-    if c.status is Status.OUT_OF_DOMAIN:
-        raise DomainError(c.evidence.reason)
     return _classification_payload(c), _classification_lines(c), c.probabilistic
 
 

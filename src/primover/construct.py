@@ -13,16 +13,18 @@ the value collapses to a bare intrinsic prime (base 2, exponent 6, value 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, log, prod
+from math import gcd, log
 from typing import NamedTuple
 
 from primover.arith import (
     Factorization,
     cyclotomic_terms,
+    cyclotomic_value,
     euler_phi,
     factorize,
     is_prime,
     mult_order,
+    require_base,
 )
 from primover.classification import Classification, Status, classify
 from primover.errors import DomainError, ResourceError
@@ -92,17 +94,7 @@ def cofactor_terms(f: Factorization) -> tuple[tuple[int, int], ...]:
 def _evaluate(base: int, n: int) -> CofactorProduct:
     """Phi_n(base) as the evil/odious quotient; n >= 2, prime or not."""
     terms = cofactor_terms(factorize(n))
-    num = prod(base**e - 1 for e, sign in terms if sign == 1)
-    den = prod(base**e - 1 for e, sign in terms if sign == -1)
-    value, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError(f"denominator does not divide numerator at exponent {n}")
-    return CofactorProduct(base, n, terms, value)
-
-
-def _require_base(a: int) -> None:
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    return CofactorProduct(base, n, terms, cyclotomic_value(base, terms))
 
 
 def _require_prime_pair(p: int, q: int) -> None:
@@ -149,14 +141,14 @@ def _verdict(product: CofactorProduct) -> ConstructionVerdict:
 
 def two_prime_cofactor(a: int, p: int, q: int) -> ConstructionVerdict:
     """(a - 1)(a^pq - 1) / ((a^p - 1)(a^q - 1)) for primes p < q."""
-    _require_base(a)
+    require_base(a)
     _require_prime_pair(p, q)
     return _verdict(_evaluate(a, p * q))
 
 
 def prime_power_cofactor(a: int, p: int, m: int) -> ConstructionVerdict:
     """(a^(p^m) - 1) / (a^(p^(m-1)) - 1) for prime p, m >= 2."""
-    _require_base(a)
+    require_base(a)
     if not is_prime(p):
         raise DomainError("p must be prime")
     if m < 2:
@@ -173,7 +165,7 @@ def two_prime_power_cofactor(
     l = p^(alpha-1) q^(beta-1), the quotient
     (a^l - 1)(a^(lpq) - 1) / ((a^(lp) - 1)(a^(lq) - 1)).
     """
-    _require_base(a)
+    require_base(a)
     _require_prime_pair(p, q)
     if alpha < 1 or beta < 1:
         raise DomainError("need alpha, beta >= 1")
@@ -182,7 +174,7 @@ def two_prime_power_cofactor(
 
 def primitive_cofactor_value(a: int, n: int) -> CofactorProduct:
     """The full evil/odious cofactor of a^n - 1 for composite n >= 4."""
-    _require_base(a)
+    require_base(a)
     if n < 4 or is_prime(n):
         raise DomainError("n must be composite (so n >= 4)")
     return _evaluate(a, n)

@@ -14,6 +14,7 @@ from primover.arith import (
     Factorization,
     factorize,
     order_tower,
+    require_base,
     require_subject,
     settings,
 )
@@ -21,8 +22,7 @@ from primover.errors import DomainError, EnumerationCeilingError
 
 
 def _require_args(a: int, n: int) -> None:
-    if a < 2:
-        raise DomainError("base must be at least 2")
+    require_base(a)
     if n <= 1:
         raise DomainError("modulus must exceed 1")
     if n % 2 == 0:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the p^e notation their
+messages share with factorizations.
 
 DomainError signals a violated precondition on the mathematical inputs.
 ResourceError signals a computation that refused to proceed because a
@@ -6,6 +7,13 @@ configured budget or ceiling would be exceeded; the work itself is well
 defined, just too large for the current settings.
 """
 from __future__ import annotations
+
+from typing import Iterable
+
+
+def format_powers(factors: Iterable[tuple[int, int]], sep: str = " * ") -> str:
+    """(p, e) pairs as p^e joined by sep, an exponent of 1 left off."""
+    return sep.join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors)
 
 
 class DomainError(ValueError):
@@ -35,9 +43,7 @@ class IncompleteFactorizationError(ResourceError):
         self.subject = subject
         self.partial = dict(partial)
         self.remainder = remainder
-        done = " * ".join(
-            f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(partial.items())
-        )
+        done = format_powers(sorted(partial.items()))
         msg = f"factorization budget exhausted for {subject}"
         if done:
             msg += f" (found {done}, remainder {remainder})"

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import ACCEPTANCE
 from oracles import moebius_cofactor
-from primover.arith import factorize, is_prime, mult_order, smallest_factor_table
+from primover.arith import is_prime, mult_order, smallest_factor_table
 from primover.classification import (
     Status,
     classify,
@@ -132,12 +132,11 @@ def test_criterion_7_definition_criterion_equivalence():
         for n in range(9, 100_001, 2):
             if table[n] == n:
                 continue
-            f = factorize(n)
             for a in (2, 3, 5):
                 if gcd(a, n) != 1:
                     continue
-                by_definition = overpseudoprime_by_coset_count(a, n, factorization=f)
-                by_criterion = overpseudoprime_by_order_criterion(a, n, factorization=f)
+                by_definition = overpseudoprime_by_coset_count(a, n)
+                by_criterion = overpseudoprime_by_order_criterion(a, n)
                 assert by_definition.ok == by_criterion.ok, (a, n)
                 checked += 1
         assert checked > 90_000

@@ -261,6 +261,8 @@ class TestMultOrder:
             mult_order(2, 12)
         with pytest.raises(DomainError):
             mult_order(1, 7)
+        with pytest.raises(DomainError, match="modulus must be at least 2"):
+            mult_order(2, 1)
 
     def test_order_tower_wieferich(self):
         # the two known Wieferich primes keep their order at the square

@@ -40,7 +40,7 @@ from primover.classification import (
     strong_pseudoprime_ordinal,
 )
 from primover.config import Config
-from primover.errors import DomainError
+from primover.errors import DomainError, IncompleteFactorizationError
 from oracles import (
     longhand_census,
     longhand_strong_pseudoprimes,
@@ -143,13 +143,6 @@ class TestCriterionTest:
         assert result.ok is True
         assert result.h == 364
 
-    def test_factorization_of_another_subject_rejected(self):
-        with pytest.raises(DomainError, match="341"):
-            overpseudoprime_by_order_criterion(2, 2047, factorization=factorize(341))
-        # classify passes its factorization through the criterion
-        with pytest.raises(DomainError, match="341"):
-            classify(2, 2047, factorization=factorize(341))
-
 
 class TestClassify:
     def test_prime(self):
@@ -181,9 +174,12 @@ class TestClassify:
         assert "factor 3" in c.evidence.reason
 
     def test_out_of_domain(self):
-        assert classify(2, 1).status is Status.OUT_OF_DOMAIN
-        assert classify(2, 0).status is Status.OUT_OF_DOMAIN
-        assert classify(1, 7).status is Status.OUT_OF_DOMAIN
+        # classify raises on a bad base or subject, like every other entry
+        for n in (1, 0):
+            with pytest.raises(DomainError, match="subject must exceed 1"):
+                classify(2, n)
+        with pytest.raises(DomainError, match="base must be at least 2"):
+            classify(1, 7)
 
     def test_cross_check_fills_r_below_ceiling(self):
         c = classify(2, 2047)
@@ -235,12 +231,24 @@ class TestOrderHint:
         assert certified > 100
 
     def test_wrong_hints_give_the_unhinted_answer(self):
-        # the factorization is passed in to save time; the criterion still
-        # computes every order
         for a, n, v, plain in unhinted_cyclotomic_values():
-            f = plain.evidence.factorization
             for wrong in (2 * n, n + 1):
-                assert classify(a, v, factorization=f, order=wrong) == plain, (a, n, wrong)
+                assert classify(a, v, order=wrong) == plain, (a, n, wrong)
+
+    def test_certified_verdict_survives_the_budget(self):
+        # F_7 = 2^128 + 1 = Phi_256(2): rho cannot split it within this
+        # budget, but the hint 256 passes the certificate
+        with use_config(Config(rho_budget=100_000)):
+            c = classify(2, 2**128 + 1, order=256)
+            assert c.status is Status.OVERPSEUDOPRIME and not c.probabilistic
+            ev = c.evidence
+            assert (ev.h, ev.r, ev.factorization, ev.orders) == (256, None, None, None)
+            assert "certificate" in ev.reason and "budget" in ev.reason
+            # without a hint, or with one that fails, the criterion still
+            # needs the factorization
+            for order in (None, 128):
+                with pytest.raises(IncompleteFactorizationError):
+                    classify(2, 2**128 + 1, order=order)
 
     def test_hint_on_a_value_sharing_a_factor_with_n(self):
         # Phi_21(2) = 2359 = 7 * 337: 7 | 21 has order 3, 337 has order 21
@@ -302,11 +310,6 @@ class TestSuperPseudoprime:
         assert is_superpseudoprime(2, 2047)
         assert is_superpseudoprime(2, 341)  # all of 11, 31, 341 pass Fermat
         assert not is_superpseudoprime(2, 561)  # 2^32 mod 33 = 4
-
-    def test_factorization_of_another_subject_rejected(self):
-        # 341's divisors all pass Fermat; they say nothing about 2047
-        with pytest.raises(DomainError, match="341"):
-            is_superpseudoprime(2, 2047, factorization=factorize(341))
 
     def test_overpseudoprimes_are_superpseudoprimes(self):
         for n in overpseudoprimes_upto(2, 10**5):
@@ -648,6 +651,7 @@ class TestCensus:
 
     def test_below_smallest_is_empty(self):
         assert overpseudoprimes_upto(2, 2046) == ()
+        assert overpseudoprimes_upto(2, 8) == ()  # below 9 = 3^2, no composite odd n
 
     def test_base_3(self):
         census = overpseudoprimes_upto(3, 10**5)
@@ -744,3 +748,32 @@ def test_strong_pseudoprime_definition_property(n):
         return
     expected = not is_prime(n) and gcd(2, n) == 1 and naive_strong_test(2, n)
     assert is_strong_pseudoprime(2, n) == expected
+
+
+# every public entry that takes a base, with arguments that are fine but for it
+BASE_ENTRIES = {
+    "mult_order": (7,),
+    "classify": (7,),
+    "overpseudoprime_by_coset_count": (9,),
+    "overpseudoprime_by_order_criterion": (9,),
+    "is_superpseudoprime": (9,),
+    "scan": (100,),
+    "strong_pseudoprime_ordinal": (2047,),
+    "overpseudoprimes_upto": (100,),
+    "decompose": (9,),
+    "coset_count": (9,),
+    "two_prime_cofactor": (3, 5),
+    "prime_power_cofactor": (3, 2),
+    "two_prime_power_cofactor": (3, 1, 5, 1),
+    "primitive_cofactor_value": (6,),
+    "primitive_cofactor": (6,),
+    "cofactor_bound_report": (6,),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_ENTRIES))
+def test_base_below_2_raises_at_every_entry(name):
+    # the predicate is_strong_pseudoprime answers False instead, and
+    # generalized_fermat has its own rule (an even base)
+    with pytest.raises(DomainError, match="^base must be at least 2$"):
+        getattr(primover, name)(1, *BASE_ENTRIES[name])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
@@ -182,12 +183,15 @@ class TestFactorizationCacheFile:
             "2047 23 89\n"
             "junk\n"
             "16 5^2\n"  # recomposes to 25, not 16
-            "21 9 ...\n"  # 9 is not prime
+            "21 9 ...\n"  # "..." is not a number
+            "15 15\n"  # recomposes, but its one "prime" is composite
             "1082401 601 1801\n"
         )
-        with pytest.warns(UserWarning, match="bad cache record"):
+        with pytest.warns(UserWarning, match="bad cache record") as record:
             cache = FactorizationCache(str(p))
+        assert [str(w.message).split(":")[-2] for w in record] == ["3", "4", "5", "6"]
         assert len(cache) == 2
+        assert cache.get(15) is None
         assert cache.get(1082401).factors == ((601, 1), (1801, 1))
 
     def test_exponent_syntax(self, tmp_path):
@@ -417,12 +421,26 @@ class TestCliContracts:
         ),
     )
     def test_classify_out_of_domain_exits_1(self, capsys, fmt, argv, reason):
-        # the library returns the out-of-domain status; the verb reports it
-        # as a domain error, like every other verb
+        # classify raises a domain error, like every other entry
         code, out, err = run_cli(capsys, "--format", fmt, "classify", *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("exponent", ("1155", "256"))
+    def test_certified_cofactor_outlives_the_budget(self, capsys, monkeypatch, exponent):
+        # rho cannot finish either value within this budget; the order
+        # certificate decides it anyway, and fast (CPU time, so that a busy
+        # host does not count)
+        monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "100000")
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "cofactor", "--base", "2", exponent)
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        assert "overpseudoprime (primover)" in out
+        assert "factors:" not in out
+        assert f"order certificate for h = {exponent} holds" in out
+        assert "budget ran out" in out
 
     def test_resource_errors_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "10000019")
