@@ -281,19 +281,86 @@ class _BudgetExhausted(Exception):
     pass
 
 
+# Rho's charge on a number before its one Pollard p - 1 attempt, and the
+# attempt's bounds. A prime p of a certified Phi_n(a) is 1 mod lcm(2, n), so
+# p - 1 has the factor n and is often smooth, also for the large p where rho
+# is slowest.
+_RHO_FIRST = 1024
+_PM1_B1, _PM1_B2 = 2000, 50_000
+
+
+@lru_cache(maxsize=1)
+def _pm1_tables() -> tuple[int, int, bytes, int, int]:
+    """(E, q0, gaps, widest, cost) for _pollard_pm1, built on first use,
+    about 6 ms, not at import.
+
+    E = lcm(1..B1), 2,878 bits; q0 = 2003 is the least prime above B1, gaps
+    the differences of the consecutive primes from q0 to B2 and widest the
+    largest of them, 72. cost is one step per bit of E and two per stage-2
+    prime: 12,538.
+    """
+    exponent = lcm(*range(1, _PM1_B1 + 1))
+    stage2 = [q for q in primes_upto(_PM1_B2) if q > _PM1_B1]
+    gaps = bytes(b - a for a, b in zip(stage2, stage2[1:]))
+    cost = exponent.bit_length() + 2 * len(stage2)
+    return exponent, stage2[0], gaps, max(gaps), cost
+
+
+def _pollard_pm1(n: int, budget: list[int]) -> int:
+    """A nontrivial factor of n by Pollard's p - 1, or 0 when it finds none.
+
+    Stage 1 is x = 3^E mod n with E = lcm(1..B1). Stage 2 steps x^q over
+    the primes B1 < q <= B2 by their gaps and takes one gcd of the product
+    of the x^q - 1. A gcd of 1 or of n is a failure. The attempt's cost
+    is charged to budget before it starts.
+    """
+    exponent, q0, gaps, widest, cost = _pm1_tables()
+    budget[0] -= cost
+    if budget[0] <= 0:
+        raise _BudgetExhausted
+    x = pow(3, exponent, n)
+    g = gcd(x - 1, n)
+    if g == 1:
+        x2 = x * x % n
+        powers = [1] * (widest + 1)  # powers[d] = x^d for every even d
+        for d in range(2, len(powers), 2):
+            powers[d] = powers[d - 2] * x2 % n
+        y = pow(x, q0, n)
+        acc = y - 1
+        for d in gaps:
+            y = y * powers[d] % n
+            acc = acc * (y - 1) % n
+        g = gcd(acc, n)
+    return g if 1 < g < n else 0
+
+
 def _brent_rho(n: int, budget: list[int]) -> int:
     """A nontrivial factor of odd composite n, Brent's cycle variant.
 
     The polynomial shift walks a fixed schedule so results are reproducible.
-    budget is a single-element mutable cell counting iterations across the
-    whole factorization.
+    budget is a one-element mutable cell shared by the whole factorization.
+    Rho charges it one step for each pass of the accumulating loop, which
+    applies f(y) = y^2 + c and multiplies x - y into q; the advance of y by
+    r steps at the start of each round and the backtrack after a gcd of n
+    are not charged, so it counts about half the applications of f. Before
+    the first round that would take the charge on n past _RHO_FIRST (for
+    c = 1, after the rounds up to r = 512, 1023 steps), one _pollard_pm1
+    attempt charges its own cost; when it finds no factor, the walk goes on
+    where it stopped.
     """
+    start = budget[0]
+    pm1 = True  # the p - 1 attempt is still to make
     c = 1
     while True:
         y, r, q = 2, 1, 1
         g = 1
         x = ys = y
         while g == 1:
+            if pm1 and start - budget[0] + r > _RHO_FIRST:
+                pm1 = False
+                d = _pollard_pm1(n, budget)
+                if d:
+                    return d
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -336,11 +403,13 @@ def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Fully factor n >= 2: trial division, then Brent rho on what remains.
+    """Fully factor n >= 2: trial division, then Brent rho on what remains,
+    with one Pollard p - 1 attempt on each composite that rho has not split
+    after its first 1023 charged steps.
 
     The trial bound, the rho budget and the cache come from the run's
-    settings. Raises IncompleteFactorizationError when the rho iteration
-    budget runs out, carrying the partial result.
+    settings. Raises IncompleteFactorizationError when the budget, which
+    rho and the p - 1 attempts share, runs out, carrying the partial result.
     """
     if n < 2:
         raise DomainError("factorization needs n >= 2")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primover import arith, classify
 from primover.arith import (
     _WITNESS_TIERS,
     DETERMINISTIC_PRIMALITY_BOUND,
@@ -214,6 +215,93 @@ class TestFactorization:
         naive = [n if n < 2 else next(d for d in range(2, n + 1) if n % d == 0)
                  for n in range(limit + 1)]
         assert smallest_factor_table(limit) == naive
+
+
+def random_prime(rng, bits):
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if is_prime(p):
+            return p
+
+
+def semiprime_sample(seed, count, small_bits, large_bits):
+    """count seeded products p * q of two primes, p of a bit length drawn
+    from small_bits and q from large_bits, with the factors they must give."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = random_prime(rng, rng.choice(small_bits))
+        q = random_prime(rng, rng.choice(large_bits))
+        out.append((p * q, ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))))
+    return out
+
+
+class TestPollardPMinus1:
+    # P - 1 = 2 * 3 * 5 * 751 * 881 * 27697: smooth to B1 = 2000 but for one
+    # prime below B2 = 50000, so stage 2 finds P. Q - 1 = 2^3 * 3^2 * 1487 *
+    # 10269667 is not smooth. Rho alone charges 412,927 steps to split P * Q.
+    P, Q = 549755814211, 1099511627689
+
+    def test_stage_two_splits_below_the_rho_budget(self, monkeypatch):
+        assert factorize(self.P - 1).factors == ((2, 1), (3, 1), (5, 1), (751, 1), (881, 1), (27697, 1))
+        n = self.P * self.Q
+        # 1023 rho steps and the attempt's charge (about 12,500) fit in 20,000
+        with use_config(Config(rho_budget=20_000)):
+            assert factorize(n).factors == ((self.P, 1), (self.Q, 1))
+            monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: 0)
+            with pytest.raises(IncompleteFactorizationError):
+                factorize(n)
+
+    def test_stage_one_gcd_of_the_whole_number_falls_back_to_rho(self):
+        # both p - 1 are products of prime powers up to B1, so 3^E = 1 mod n
+        p, q = 1073742073, 1073742203
+        assert factorize(p - 1).factors == ((2, 3), (3, 1), (13, 1), (37, 1), (47, 1), (1979, 1))
+        assert factorize(q - 1).factors == ((2, 1), (13, 1), (17, 1), (1297, 1), (1873, 1))
+        assert arith._pollard_pm1(p * q, [10**6]) == 0
+        assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+    def test_budget_below_the_first_rounds_never_reaches_it(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: calls.append(n) or 0)
+        n = 7 * self.P * self.Q
+        for budget in (1, 10, 500, 1023):
+            with pytest.raises(IncompleteFactorizationError) as info:
+                with use_config(Config(rho_budget=budget)):
+                    factorize(n)
+            assert (info.value.partial, info.value.remainder) == ({7: 1}, self.P * self.Q)
+        assert calls == []
+
+    def test_charge_above_what_is_left_raises_before_the_attempt(self):
+        # rho's rounds up to r = 512 charge 1023 steps, the attempt 12,538
+        assert arith._pm1_tables()[4] == 12_538
+        n = 7 * self.P * self.Q
+        for budget in (1024, 1023 + 12_538):
+            with pytest.raises(IncompleteFactorizationError) as info:
+                with use_config(Config(rho_budget=budget)):
+                    factorize(n)
+            assert (info.value.partial, info.value.remainder) == ({7: 1}, self.P * self.Q)
+        with use_config(Config(rho_budget=1023 + 12_538 + 1)):
+            assert factorize(n).factors == ((7, 1), (self.P, 1), (self.Q, 1))
+
+    def test_readme_budget_example_still_raises(self):
+        # 193707721 - 1 = 2^3 * 3^3 * 5 * 67 * 2677: p - 1 alone would split
+        # 2^67 - 1, but a budget of 1000 runs out inside rho's first rounds
+        assert arith._pollard_pm1(2**67 - 1, [10**6]) == 193707721
+        with use_config(Config(rho_budget=1000)):
+            with pytest.raises(IncompleteFactorizationError):
+                classify(2, 2**67 - 1)
+
+    def test_semiprimes_factor_exactly(self):
+        # the smaller prime has at most 32 bits, so rho's ~sqrt(p) steps keep
+        # this to about 5 s (p - 1 splits 74 of the 200); the deep twin draws
+        # both primes from 30-44 bits and takes about a minute
+        for n, factors in semiprime_sample(2020, 200, range(30, 33), range(30, 45)):
+            assert factorize(n).factors == factors, n
+
+    @pytest.mark.deep
+    def test_semiprimes_of_30_to_44_bits_factor_exactly(self):
+        for n, factors in semiprime_sample(2020, 200, range(30, 45), range(30, 45)):
+            assert factorize(n).factors == factors, n
 
 
 class TestTotients:
