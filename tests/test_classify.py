@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import primover
 import primover.arith
 import primover.classification
+import primover.enumeration
 from primover.arith import (
     factorize,
     is_prime,
@@ -22,14 +24,7 @@ from primover.arith import (
     use_config,
 )
 from primover.classification import (
-    _SMALL_POWER_BITS,
     Status,
-    _jacobi,
-    _prime_divisors,
-    _primitive_part,
-    _seed_products,
-    _seeds,
-    _walk,
     classify,
     is_strong_pseudoprime,
     is_superpseudoprime,
@@ -40,12 +35,26 @@ from primover.classification import (
     strong_pseudoprime_ordinal,
 )
 from primover.config import Config
+from primover.enumeration import (
+    _SMALL_POWER_BITS,
+    _jacobi,
+    _prime_divisors,
+    _primitive_part,
+    _seed_products,
+    _seeds,
+    _walk,
+    plan,
+    search,
+    walk,
+)
 from primover.errors import DomainError, IncompleteFactorizationError
 from oracles import (
     longhand_census,
     longhand_strong_pseudoprimes,
     moebius_cofactor,
+    naive_factor,
     naive_is_prime,
+    naive_order,
     naive_strong_test,
 )
 
@@ -81,19 +90,19 @@ def longhand_spsp_upto(base, bound):
 def strong_tests(monkeypatch):
     """The numbers the search strong-tests from now on, in order."""
     calls = []
-    real = primover.classification._strong_probable
+    real = primover.enumeration._strong_probable
 
     def counted(n, a):
         calls.append(n)
         return real(n, a)
 
-    monkeypatch.setattr(primover.classification, "_strong_probable", counted)
+    monkeypatch.setattr(primover.enumeration, "_strong_probable", counted)
     return calls
 
 
 @lru_cache(maxsize=None)
 def enumerated_upto(base, bound):
-    found = primover.classification._enumerate_strong_pseudoprimes(base, bound)
+    found = primover.enumeration.strong_pseudoprimes(base, bound)
     return tuple(n for n, _, _ in found)
 
 
@@ -457,6 +466,12 @@ class TestScan:
         assert len(report.strong_pseudoprimes) == 3291  # Pinch; OEIS A055550
         assert report.prime_count == 455052511
 
+    @pytest.mark.deep
+    def test_pinch_count_to_1e11(self):
+        report = scan(2, 10**11, workers=2)
+        assert len(report.strong_pseudoprimes) == 8607  # Pinch; OEIS A055550
+        assert report.prime_count == 4118054813
+
 
 class TestEnumeration:
     # 4, 6, 10 and 15 have order 1 at a small prime, and 6, 10 and 15 are
@@ -473,7 +488,7 @@ class TestEnumeration:
     def test_matches_longhand_at_every_small_bound(self, base):
         # includes every bound that is itself a strong pseudoprime, such as
         # 121 = 11^2 (a prime-power atom) for base 3
-        enumerate_upto = primover.classification._enumerate_strong_pseudoprimes
+        enumerate_upto = primover.enumeration.strong_pseudoprimes
         for bound in range(9, 5000):
             found = [n for n, _, _ in enumerate_upto(base, bound)]
             assert found == longhand_spsp_upto(base, bound), bound
@@ -499,7 +514,7 @@ class TestEnumeration:
         # strong tests before the table, 836 with it, and 212 with leaves
         # chosen by cost and the screen
         calls = strong_tests(monkeypatch)
-        found = primover.classification._enumerate_strong_pseudoprimes(2, 1 << 20)
+        found = primover.enumeration.strong_pseudoprimes(2, 1 << 20)
         assert tuple(n for n, _, _ in found) == longhand_spsp_to_2_20(2)
         assert len(calls) <= 212
 
@@ -510,9 +525,34 @@ class TestEnumeration:
     )
     def test_strong_tests_at_2_20(self, base, tests, monkeypatch):
         calls = strong_tests(monkeypatch)
-        found = primover.classification._enumerate_strong_pseudoprimes(base, 1 << 20)
+        found = primover.enumeration.strong_pseudoprimes(base, 1 << 20)
         assert [n for n, _, _ in found] == longhand_spsp_upto(base, 1 << 20)
         assert len(calls) == tests
+
+    @pytest.mark.parametrize("base", (2, 3, 6, 10))
+    def test_each_class_searched_alone(self, base):
+        # the plan, the walk and one search per 2-adic class of the atoms'
+        # orders, each call on its own: the classes split the longhand list,
+        # and search and the plan survive a pickle, as a pool needs
+        bound = 1 << 20
+        planned = plan(base, bound)
+        classes = {}
+        for atom in planned.seeds + walk(planned, 1, None):
+            classes.setdefault(atom[2] & -atom[2], []).append(atom)
+        assert len(classes) > 1
+        found = {c: search(planned, c, atoms) for c, atoms in classes.items()}
+        every = [n for by_class in found.values() for n in by_class]
+        assert len(every) == len(set(every))
+        assert sorted(every) == longhand_spsp_upto(base, bound)
+        for c, by_class in found.items():
+            for n in by_class:
+                for p, _ in naive_factor(n):
+                    order = naive_order(base, p)
+                    assert order & -order == c, (n, p)
+        again, unpickled = pickle.loads(pickle.dumps((search, planned)))
+        assert unpickled == planned
+        for c, atoms in classes.items():
+            assert again(unpickled, c, atoms) == found[c]
 
     def test_screen_divides_out_shared_prime_powers(self, monkeypatch):
         # a completion p^2 * k above the root divided by its gcd with the
@@ -520,7 +560,7 @@ class TestEnumeration:
         # exceed the root, where the table cannot check their class, and
         # base 2 would take 447 strong tests
         calls = strong_tests(monkeypatch)
-        found = primover.classification._enumerate_strong_pseudoprimes(2, 1 << 22)
+        found = primover.enumeration.strong_pseudoprimes(2, 1 << 22)
         assert len(found) == 104 and len(calls) == 444
 
     @pytest.mark.parametrize("bound", (10**5 + 1, 10**6 + 1, 1 << 20))
@@ -578,11 +618,11 @@ class TestCharacterWalk:
     def test_walk_matches_the_whole_progression(self, base, monkeypatch):
         # every walk of the enumeration and of the census at 10^6 + 1
         calls = []
-        walk = primover.classification._walk
+        walk = primover.enumeration._walk
         monkeypatch.setattr(
-            primover.classification, "_walk", lambda *args: calls.append(args) or walk(*args)
+            primover.enumeration, "_walk", lambda *args: calls.append(args) or walk(*args)
         )
-        primover.classification._enumerate_strong_pseudoprimes(base, 10**6 + 1, workers=1)
+        primover.enumeration.strong_pseudoprimes(base, 10**6 + 1, workers=1)
         overpseudoprimes_upto(base, 10**6 + 1)
         assert calls
         wholes = [
@@ -596,8 +636,8 @@ class TestCharacterWalk:
             for a, h, candidates, h_primes, _ in calls
         ]
         # 0: cap and split every small-power progression, however short
-        for length in (primover.classification._CLASS_LENGTH, 0):
-            monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", length)
+        for length in (primover.enumeration._CLASS_LENGTH, 0):
+            monkeypatch.setattr(primover.enumeration, "_CLASS_LENGTH", length)
             for (a, h, candidates, h_primes, seeds), whole in zip(calls, wholes):
                 assert walk(a, h, candidates, h_primes, seeds) == whole, (h, candidates)
 
@@ -625,10 +665,10 @@ class TestCharacterWalk:
     def test_wieferich_squares_in_the_primitive_part(self, monkeypatch):
         # 1093^2 | Phi_364(2) and Phi_5(3) = 11^2: the walk divides out every
         # power of a prime it finds, so what is left is not taken for a prime
-        progression = primover.classification._progression
+        progression = primover.enumeration._progression
         assert _walk(2, 364, progression(2, 364, 1001, 10**5), (2, 7, 13), ()) == [1093, 4733]
         # with 11 a candidate the walk reaches isqrt(121) and leaves 1
-        monkeypatch.setattr(primover.classification, "_CLASS_LENGTH", 0)
+        monkeypatch.setattr(primover.enumeration, "_CLASS_LENGTH", 0)
         assert _walk(3, 5, progression(3, 5, 4, 10**4), (5,), ()) == [11]
 
 
