@@ -8,7 +8,6 @@ apply with no cache.
 """
 from __future__ import annotations
 
-import random
 import threading
 import warnings
 from array import array
@@ -47,7 +46,6 @@ _WITNESS_TIERS = (
     (318_665_857_834_031_151_167_461, 12),
     (DETERMINISTIC_PRIMALITY_BOUND, 13),
 )
-_EXTRA_ROUNDS = 48
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -171,6 +169,56 @@ def _strong_probable(n: int, a: int) -> bool:
     return False
 
 
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a, sign = a % n, 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable(n: int) -> bool:
+    """True when odd n > 2 passes the strong Lucas test with Selfridge's
+    parameters (method A): D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4. Write n + 1 = d * 2^s with d odd;
+    n passes when U_d = 0 or V_(d * 2^r) = 0 (mod n) for some 0 <= r < s.
+    Every prime passes (Baillie & Wagstaff, Math. Comp. 35 (1980)).
+    """
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1, so the search would never end
+    D = 5
+    while (symbol := jacobi(D, n)) != -1:
+        if symbol == 0:
+            return abs(D) == n  # gcd(D, n) > 1; when |D| = n, no smaller D shared a prime
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k and Q^k mod n from k = 1 along the bits of d: k -> 2k is
+    # U_2k = U_k V_k, V_2k = V_k^2 - 2Q^k; k -> k + 1 is
+    # U_(k+1) = (U_k + V_k) / 2, V_(k+1) = (D U_k + V_k) / 2
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) % n, (D * U + V) % n, Qk * Q % n
+            U, V = (U + n if U & 1 else U) >> 1, (V + n if V & 1 else V) >> 1
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def check_prime(n: int) -> PrimalityResult:
     """Primality verdict plus a flag for whether it relied on unproven witnesses.
 
@@ -181,9 +229,10 @@ def check_prime(n: int) -> PrimalityResult:
     (Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
     (2017), arXiv 1509.00864; OEIS A014233). So the verdict is deterministic
     (flag False) for every n below DETERMINISTIC_PRIMALITY_BOUND = psi_13.
-    Above it, a "prime" answer comes from the thirteen bases plus extra
-    rounds drawn from a per-n seeded generator, so repeated calls agree;
-    composite answers are always exact.
+    From psi_13 up, one strong Lucas test follows the thirteen bases: the
+    Baillie-PSW test, which no known composite passes but none is proven to
+    fail (Baillie, Fiori & Wagstaff, Math. Comp. 90 (2021), arXiv
+    2006.14425), so a "prime" answer there is flagged. Composites are exact.
     """
     if n < 2:
         return PrimalityResult(False, False)
@@ -196,11 +245,8 @@ def check_prime(n: int) -> PrimalityResult:
         return PrimalityResult(False, False)
     if n < DETERMINISTIC_PRIMALITY_BOUND:
         return PrimalityResult(True, False)
-    rng = random.Random(n)
-    for _ in range(_EXTRA_ROUNDS):
-        if not _strong_probable(n, rng.randrange(2, n - 1)):
-            return PrimalityResult(False, False)
-    return PrimalityResult(True, True)
+    probable = _strong_lucas_probable(n)
+    return PrimalityResult(probable, probable)  # only a "prime" answer is unproven
 
 
 def is_prime(n: int) -> bool:

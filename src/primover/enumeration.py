@@ -19,6 +19,7 @@ from primover.arith import (
     check_prime,
     cyclotomic_terms,
     cyclotomic_value,
+    jacobi,
     order_descent,
     require_base,
     settings,
@@ -80,19 +81,7 @@ _SMALL_POWER_BITS = 2048
 _CLASSES, _CLASS_LENGTH = 64, 16
 
 
-@lru_cache(maxsize=1 << 12)
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a, sign = a % n, 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a, n = n % a, a
-    return sign if n == 1 else 0
+_jacobi = lru_cache(maxsize=1 << 12)(jacobi)  # the walk's residues r < 4a repeat
 
 
 def _primitive_part(a: int, h: int, h_primes: tuple[int, ...], seeds: tuple[int, ...]) -> int:
@@ -422,4 +411,5 @@ def overpseudoprimes_upto(a: int, bound: int) -> tuple[int, ...]:
         if len(atoms) == 1 and atoms[0][1] == 1:
             continue  # nothing composite can come from a single bare prime
         grow(atoms, 0, 1, 0)
+    del grow  # frees the recursive closure now, not in a later cycle collection
     return tuple(sorted(found))

@@ -5,6 +5,7 @@ obvious computation of its quantity.
 """
 from __future__ import annotations
 
+import random
 from math import gcd, isqrt
 
 
@@ -114,6 +115,16 @@ def naive_strong_test(a: int, n: int) -> bool:
         if x == n - 1:
             return True
     return False
+
+
+def seeded_rounds_test(n: int) -> bool:
+    """The slow probable-prime reference above psi_13: the strong test to
+    the first thirteen prime bases, then to 48 bases drawn from a generator
+    seeded with n. n odd, above 41."""
+    if not all(naive_strong_test(a, n) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)):
+        return False
+    rng = random.Random(n)
+    return all(naive_strong_test(rng.randrange(2, n - 1), n) for _ in range(48))
 
 
 def longhand_census(a: int, bound: int) -> tuple[int, ...]:

@@ -13,11 +13,14 @@ from primover.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
     Factorization,
     PrimalityResult,
+    _strong_lucas_probable,
+    _strong_probable,
     _trial_blocks,
     check_prime,
     euler_phi,
     factorize,
     is_prime,
+    jacobi,
     mult_order,
     order_tower,
     prime_count,
@@ -39,6 +42,7 @@ from oracles import (
     naive_order,
     naive_phi,
     naive_strong_test,
+    seeded_rounds_test,
 )
 
 # psi_t for t = 1..13: the least n that passes the strong test to each of the
@@ -111,6 +115,64 @@ class TestPrimality:
             passes = [naive_strong_test(a, psi) for a in bases]
             assert passes[: last + 1] == [True] * last + [False], psi
             assert check_prime(psi) == PrimalityResult(False, False), psi
+
+
+class TestStrongLucas:
+    """Above psi_13, check_prime adds one strong Lucas test with Selfridge's
+    parameters to its thirteen bases: the Baillie-PSW test."""
+
+    def test_lucas_pseudoprimes_below_3e4(self):
+        # OEIS A217255, the strong Lucas pseudoprimes, which base 2 catches;
+        # every odd prime passes
+        pseudoprimes = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+        primes = set(primes_upto(30_000))
+        passing = [n for n in range(3, 30_000, 2) if _strong_lucas_probable(n)]
+        assert [n for n in passing if n not in primes] == pseudoprimes
+        assert len(passing) == len(primes) - 1 + len(pseudoprimes)
+        assert not any(_strong_probable(n, 2) for n in pseudoprimes)
+
+    def test_no_odd_composite_passes_base_2_and_lucas_below_2e5(self):
+        primes = set(primes_upto(200_000))
+        base_2 = [n for n in range(3, 200_000, 2) if n not in primes and _strong_probable(n, 2)]
+        assert base_2[:4] == [2047, 3277, 4033, 4681]
+        assert [n for n in base_2 if _strong_lucas_probable(n)] == []
+
+    def test_psi_13_is_caught_by_lucas(self):
+        psi_13 = PSI[-1]
+        assert all(naive_strong_test(a, psi_13) for a in primes_upto(41))
+        assert not _strong_lucas_probable(psi_13)
+        assert check_prime(psi_13) == PrimalityResult(False, False)
+
+    def test_squares_end_the_parameter_search(self):
+        # no D has (D/n) = -1 for a square n; 1093^2 and 3511^2 pass base 2
+        for n in (9, 25, 1093**2, 3511**2, (2**89 - 1) ** 2):
+            assert not _strong_lucas_probable(n), n
+        assert check_prime((2**89 - 1) ** 2) == PrimalityResult(False, False)
+
+    def test_jacobi_above_100_bits(self):
+        # Euler's criterion for a 127-bit prime, multiplicativity for a
+        # 216-bit semiprime, over the first Selfridge candidates D
+        p, q = 2**127 - 1, 2**89 - 1
+        for D in (5, -7, 9, -11, 13, -15, 17, -19, 21):
+            euler = pow(D, (p - 1) // 2, p)
+            assert jacobi(D, p) == (-1 if euler == p - 1 else euler), D
+            assert jacobi(D, p * q) == jacobi(D, p) * jacobi(D, q), D
+
+    def test_same_verdicts_as_seeded_rounds_above_psi_13(self):
+        rng = random.Random(2203)
+
+        def prime(bits):
+            while not seeded_rounds_test(n := rng.randrange(1 << (bits - 1), 1 << bits) | 1):
+                pass
+            return n
+
+        primes = [prime(rng.randint(83, 400)) for _ in range(16)]
+        semiprimes = [prime(rng.randint(83, 400)) * prime(rng.randint(83, 400)) for _ in range(16)]
+        for n in primes:
+            assert check_prime(n) == PrimalityResult(True, True), n
+        for n in semiprimes:
+            assert not seeded_rounds_test(n), n
+            assert check_prime(n) == PrimalityResult(False, False), n
 
 
 class TestFactorization:
