@@ -330,52 +330,82 @@ class _BudgetExhausted(Exception):
 # Rho's charge on a number before its one Pollard p - 1 attempt, and the
 # attempt's bounds. A prime p of a certified Phi_n(a) is 1 mod lcm(2, n), so
 # p - 1 has the factor n and is often smooth, also for the large p where rho
-# is slowest.
+# is slowest. Stage 2 pairs the primes around the multiples of _PM1_D.
 _RHO_FIRST = 1024
 _PM1_B1, _PM1_B2 = 2000, 50_000
+_PM1_D = 2 * 3 * 5 * 7 * 11
 
 
 @lru_cache(maxsize=1)
-def _pm1_tables() -> tuple[int, int, bytes, int, int]:
-    """(E, q0, gaps, widest, cost) for _pollard_pm1, built on first use,
-    about 6 ms, not at import.
+def _pm1_tables() -> tuple[int, int, tuple[tuple[int, ...], ...], int, int]:
+    """(E, first, rows, top, cost) for _pollard_pm1, built on first use,
+    about 4 ms, not at import.
 
-    E = lcm(1..B1), 2,878 bits; q0 = 2003 is the least prime above B1, gaps
-    the differences of the consecutive primes from q0 to B2 and widest the
-    largest of them, 72. cost is one step per bit of E and two per stage-2
-    prime: 12,538.
+    E = lcm(1..B1), 2,878 bits. Each prime B1 < q <= B2 is kD - j or kD + j
+    for one k and one odd j < D/2 coprime to D = 2310; rows[i] holds the j
+    so paired with k = first + i (first is 1, the last k 22): 3,727 pairs
+    for the 4,830 primes. The rows share the j's int objects, about 40 KB.
+    top is the largest j, 1153. cost is one step per bit of E and two per
+    stage-2 prime: 12,538.
     """
     exponent = lcm(*range(1, _PM1_B1 + 1))
-    stage2 = [q for q in primes_upto(_PM1_B2) if q > _PM1_B1]
-    gaps = bytes(b - a for a, b in zip(stage2, stage2[1:]))
-    cost = exponent.bit_length() + 2 * len(stage2)
-    return exponent, stage2[0], gaps, max(gaps), cost
+    stage2 = bytearray(_PM1_B2 + _PM1_D)  # 1 at each prime B1 < q <= B2
+    for q in primes_upto(_PM1_B2):
+        stage2[q] = q > _PM1_B1
+    units = [j for j in range(1, _PM1_D // 2, 2) if gcd(j, _PM1_D) == 1]
+    first, last = ((b + _PM1_D // 2) // _PM1_D for b in (_PM1_B1, _PM1_B2))
+    rows = tuple(
+        tuple(j for j in units if stage2[k * _PM1_D - j] or stage2[k * _PM1_D + j])
+        for k in range(first, last + 1)
+    )
+    top = max(js[-1] for js in rows)
+    cost = exponent.bit_length() + 2 * stage2.count(1)
+    return exponent, first, rows, top, cost
 
 
 def _pollard_pm1(n: int, budget: list[int]) -> int:
-    """A nontrivial factor of n by Pollard's p - 1, or 0 when it finds none.
+    """A nontrivial factor of n, which is coprime to 6, by Pollard's p - 1,
+    or 0 when it finds none.
 
-    Stage 1 is x = 3^E mod n with E = lcm(1..B1). Stage 2 steps x^q over
-    the primes B1 < q <= B2 by their gaps and takes one gcd of the product
-    of the x^q - 1. A gcd of 1 or of n is a failure. The attempt's cost
-    is charged to budget before it starts.
+    Stage 1 is x = 3^E mod n with E = lcm(1..B1), and x = 2^E mod n when
+    gcd(3^E - 1, n) is n: every prime of Phi_m(3) has 3^m = 1, and m | E
+    for m <= B1. Stage 2 is Montgomery's pairing. With V_t = x^t + x^(-t),
+    V_kD - V_j = 0 mod p exactly when x^(kD - j) or x^(kD + j) is 1 mod p,
+    so the product of the V_kD - V_j over the pairs of _pm1_tables, one
+    product a pair, and one gcd cover every prime B1 < q <= B2. The V_j
+    come from V_(j+2) = V_j * V_2 - V_(j-2), the V_kD from
+    V_(k+1)D = V_kD * V_D - V_(k-1)D. A gcd of 1 or of n is a failure. The
+    attempt's cost is charged to budget before it starts; the second
+    stage-1 pow is not charged.
     """
-    exponent, q0, gaps, widest, cost = _pm1_tables()
+    exponent, first, rows, top, cost = _pm1_tables()
     budget[0] -= cost
     if budget[0] <= 0:
         raise _BudgetExhausted
-    x = pow(3, exponent, n)
-    g = gcd(x - 1, n)
+    for base in 3, 2:
+        x = pow(base, exponent, n)
+        g = gcd(x - 1, n)
+        if g != n:
+            break
+    else:
+        return 0
     if g == 1:
-        x2 = x * x % n
-        powers = [1] * (widest + 1)  # powers[d] = x^d for every even d
-        for d in range(2, len(powers), 2):
-            powers[d] = powers[d - 2] * x2 % n
-        y = pow(x, q0, n)
-        acc = y - 1
-        for d in gaps:
-            y = y * powers[d] % n
-            acc = acc * (y - 1) % n
+        inverse = pow(x, -1, n)
+        v = [0] * (top + 1)  # v[j] = V_j for every odd j
+        v[1] = (x + inverse) % n
+        v2 = (v[1] * v[1] - 2) % n
+        v[3] = (v[1] * v2 - v[1]) % n  # V_(-1) = V_1
+        for j in range(5, top + 1, 2):
+            v[j] = (v[j - 2] * v2 - v[j - 4]) % n
+        vd = (pow(x, _PM1_D, n) + pow(inverse, _PM1_D, n)) % n
+        before, vk = vd, 2  # V_(k-1)D and V_kD at k = 0
+        for _ in range(first):
+            before, vk = vk, (vk * vd - before) % n
+        acc = 1
+        for js in rows:
+            for j in js:
+                acc = acc * (vk - v[j]) % n
+            before, vk = vk, (vk * vd - before) % n
         g = gcd(acc, n)
     return g if 1 < g < n else 0
 
@@ -391,8 +421,10 @@ def _brent_rho(n: int, budget: list[int]) -> int:
     are not charged, so it counts about half the applications of f. Before
     the first round that would take the charge on n past _RHO_FIRST (for
     c = 1, after the rounds up to r = 512, 1023 steps), one _pollard_pm1
-    attempt charges its own cost; when it finds no factor, the walk goes on
-    where it stopped.
+    attempt (stage 1 from base 3, then from base 2 when base 3 gives the
+    gcd n, and a paired stage 2) charges its own cost, 12,538 steps, which
+    leaves the second stage-1 pow uncharged; when it finds no factor, the
+    walk goes on where it stopped.
     """
     start = budget[0]
     pm1 = True  # the p - 1 attempt is still to make
@@ -451,7 +483,10 @@ def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
 def factorize(n: int) -> Factorization:
     """Fully factor n >= 2: trial division, then Brent rho on what remains,
     with one Pollard p - 1 attempt on each composite that rho has not split
-    after its first 1023 charged steps.
+    after its first 1023 charged steps: stage 1 from base 3, then from base
+    2 when base 3 gives the gcd of the whole number, and Montgomery's
+    paired stage 2. The attempt charges 12,538 steps whichever bases it
+    runs; the second stage-1 pow is not charged.
 
     The trial bound, the rho budget and the cache come from the run's
     settings. Raises IncompleteFactorizationError when the budget, which

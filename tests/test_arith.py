@@ -17,6 +17,8 @@ from primover.arith import (
     _strong_probable,
     _trial_blocks,
     check_prime,
+    cyclotomic_terms,
+    cyclotomic_value,
     euler_phi,
     factorize,
     is_prime,
@@ -321,6 +323,41 @@ class TestPollardPMinus1:
         assert factorize(q - 1).factors == ((2, 1), (13, 1), (17, 1), (1297, 1), (1873, 1))
         assert arith._pollard_pm1(p * q, [10**6]) == 0
         assert factorize(p * q).factors == ((p, 1), (q, 1))
+
+    def test_base_three_cyclotomic_value_splits_from_base_two(self):
+        # every prime of Phi_194(3) has 3^194 = 1 and 194 | E, so stage 1
+        # from base 3 gives the gcd n; base 2 then splits it
+        n = cyclotomic_value(3, cyclotomic_terms(194, (2, 97)))
+        exponent = arith._pm1_tables()[0]
+        assert gcd(pow(3, exponent, n) - 1, n) == n
+        d = arith._pollard_pm1(n, [10**6])
+        assert 1 < d < n and n % d == 0
+        assert factorize(n).factors == (
+            (459991849, 1), (503803759819, 1), (20591603926857377806745611, 1)
+        )
+
+    def test_stage_two_pairs_cover_every_prime(self):
+        _, first, rows, top, _ = arith._pm1_tables()
+        d = arith._PM1_D
+        covered = set()
+        for k, js in enumerate(rows, first):
+            assert all(j % 2 and gcd(j, d) == 1 and j < d // 2 for j in js)
+            covered.update(k * d + s * j for j in js for s in (-1, 1))
+        stage2 = [q for q in primes_upto(50_000) if q > 2000]
+        assert covered.issuperset(stage2)
+        assert (first, len(rows), top) == (1, 22, 1153)
+        assert sum(map(len, rows)) == 3727 and len(stage2) == 4830
+
+    def test_five_beside_base_three_primes_under_the_least_trial_bound(self):
+        # p divides Phi_194(3) and q Phi_142(3), so 3^E = 1 modulo 5, p and
+        # q, and stage 1 falls back to base 2. 2^E is invertible modulo any
+        # number trial division leaves; 5^E would not be, and the inverse
+        # stage 2 takes would raise, as 5^E is not 1 modulo p or q
+        p, q = 503803759819, 4052490063499
+        d = arith._pollard_pm1(5 * p * q, [10**6])
+        assert 1 < d < 5 * p * q and 5 * p * q % d == 0
+        with use_config(Config(trial_bound=3)):
+            assert factorize(5 * p * q).factors == ((5, 1), (p, 1), (q, 1))
 
     def test_budget_below_the_first_rounds_never_reaches_it(self, monkeypatch):
         calls = []
