@@ -2,9 +2,9 @@
 
 Everything operates on Python's arbitrary-precision ints and is a pure
 function of its inputs and the run's settings: one context variable holds
-the Config and the factorization cache opened from its cache_path, and
-use_config installs them for a block. Outside any such block the defaults
-apply with no cache.
+the Config, the factorization cache opened from its cache_path and the
+known-prime memo rho consults, and use_config installs them for a block.
+Outside any such block the defaults apply with no cache and one memo.
 """
 from __future__ import annotations
 
@@ -410,6 +410,55 @@ def _pollard_pm1(n: int, budget: list[int]) -> int:
     return g if 1 < g < n else 0
 
 
+# The known-prime memo keeps primes of at most _KNOWN_BITS bits, and at most
+# _KNOWN_MAX of them, so the product rho takes a gcd with stays under 2^22 bits
+_KNOWN_BITS = 64
+_KNOWN_MAX = 1 << 16
+
+
+class _KnownPrimes:
+    """The primes above the trial bound that a run's completed
+    factorizations have proved, those of at most _KNOWN_BITS bits.
+
+    learn() records primes; a memo that would pass _KNOWN_MAX primes starts
+    over empty. divisor() is rho's one look at the memo: it multiplies the
+    primes learned since its last call into the product, then takes one gcd
+    of n with it. A lock makes both safe for threads that share the memo.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._primes: set[int] = set()
+        self._new: list[int] = []  # learned, not yet in _product
+        self._product = 1
+
+    def learn(self, primes: Iterable[int]) -> None:
+        with self._lock:
+            for p in primes:
+                if p in self._primes or p.bit_length() > _KNOWN_BITS:
+                    continue
+                if len(self._primes) >= _KNOWN_MAX:
+                    self._primes, self._new, self._product = set(), [], 1
+                self._primes.add(p)
+                self._new.append(p)
+
+    def divisor(self, n: int) -> int:
+        """A nontrivial factor of composite n from the memo, or 0: the gcd
+        of n and the product when it is a proper factor, and n's least
+        memo prime when n divides the product."""
+        with self._lock:
+            if self._new:
+                self._product *= prod(self._new)
+                self._new = []
+            product = self._product
+        g = gcd(n, product)
+        if g == n:
+            with self._lock:
+                known = tuple(self._primes)
+            return min((p for p in known if n % p == 0), default=0)
+        return g if g > 1 else 0
+
+
 def _brent_rho(n: int, budget: list[int]) -> int:
     """A nontrivial factor of odd composite n, Brent's cycle variant.
 
@@ -420,14 +469,16 @@ def _brent_rho(n: int, budget: list[int]) -> int:
     r steps at the start of each round and the backtrack after a gcd of n
     are not charged, so it counts about half the applications of f. Before
     the first round that would take the charge on n past _RHO_FIRST (for
-    c = 1, after the rounds up to r = 512, 1023 steps), one _pollard_pm1
-    attempt (stage 1 from base 3, then from base 2 when base 3 gives the
-    gcd n, and a paired stage 2) charges its own cost, 12,538 steps, which
-    leaves the second stage-1 pow uncharged; when it finds no factor, the
-    walk goes on where it stopped.
+    c = 1, after the rounds up to r = 512, 1023 steps), rho checks n once
+    against the primes the run has already proved (_KnownPrimes.divisor,
+    uncharged) and returns a factor found there. Failing that, one
+    _pollard_pm1 attempt (stage 1 from base 3, then from base 2 when base 3
+    gives the gcd n, and a paired stage 2) charges its own cost, 12,538
+    steps, which leaves the second stage-1 pow uncharged; when it finds no
+    factor, the walk goes on where it stopped.
     """
     start = budget[0]
-    pm1 = True  # the p - 1 attempt is still to make
+    pm1 = True  # the memo check and the p - 1 attempt are still to make
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -436,7 +487,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         while g == 1:
             if pm1 and start - budget[0] + r > _RHO_FIRST:
                 pm1 = False
-                d = _pollard_pm1(n, budget)
+                d = _RUN.get().known.divisor(n) or _pollard_pm1(n, budget)
                 if d:
                     return d
             x = y
@@ -481,20 +532,26 @@ def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
 
 
 def factorize(n: int) -> Factorization:
-    """Fully factor n >= 2: trial division, then Brent rho on what remains,
-    with one Pollard p - 1 attempt on each composite that rho has not split
-    after its first 1023 charged steps: stage 1 from base 3, then from base
-    2 when base 3 gives the gcd of the whole number, and Montgomery's
-    paired stage 2. The attempt charges 12,538 steps whichever bases it
-    runs; the second stage-1 pow is not charged.
+    """Fully factor n >= 2: trial division, then Brent rho on what remains.
+    On each composite that rho has not split after its first 1023 charged
+    steps, rho first takes one gcd with the product of the primes of at
+    most 64 bits, above the trial bound, that the run's completed
+    factorizations have proved (the known-prime memo, which charges
+    nothing), and then makes one Pollard p - 1 attempt: stage 1 from base 3,
+    then from base 2 when base 3 gives the gcd of the whole number, and
+    Montgomery's paired stage 2. The attempt charges 12,538 steps whichever
+    bases it runs; the second stage-1 pow is not charged.
 
-    The trial bound, the rho budget and the cache come from the run's
-    settings. Raises IncompleteFactorizationError when the budget, which
-    rho and the p - 1 attempts share, runs out, carrying the partial result.
+    The trial bound, the rho budget, the cache and the memo come from the
+    run: use_config starts an empty memo, and outside any block one memo
+    serves the process. The memo moves only cost; a completed factorization
+    is the same with or without it. Raises IncompleteFactorizationError
+    when the budget, which rho and the p - 1 attempts share, runs out,
+    carrying the partial result.
     """
     if n < 2:
         raise DomainError("factorization needs n >= 2")
-    config, cache = _RUN.get()
+    config, cache, known = _RUN.get()
     if cache is not None:
         hit = cache.get(n)
         if hit is not None:
@@ -520,6 +577,7 @@ def factorize(n: int) -> Factorization:
         except _BudgetExhausted:
             done = prod(p**e for p, e in counts.items())
             raise IncompleteFactorizationError(n, counts, n // done) from None
+        known.learn(p for p in counts if p > config.trial_bound)
     result = Factorization(n, tuple(sorted(counts.items())))
     if cache is not None:
         cache.put(result)
@@ -701,22 +759,26 @@ class FactorizationCache:
 class _Run(NamedTuple):
     config: Config
     cache: FactorizationCache | None
+    known: _KnownPrimes
 
 
-_RUN: ContextVar[_Run] = ContextVar("primover_run", default=_Run(Config(), None))
+_RUN: ContextVar[_Run] = ContextVar(
+    "primover_run", default=_Run(Config(), None, _KnownPrimes())
+)
 
 
 @contextmanager
 def use_config(config: Config) -> Iterator[None]:
-    """Run the block under config, with the cache opened from its cache_path.
+    """Run the block under config, with the cache opened from its cache_path
+    and an empty known-prime memo.
 
     Every setting reaches every call made inside the block, including the
     factorizations hidden under order computations, whose memo is emptied
-    on entry and on exit. Blocks nest, and the previous settings return on
-    exit.
+    on entry and on exit. Blocks nest, and the previous settings and memo
+    return on exit.
     """
     cache = FactorizationCache(config.cache_path) if config.cache_path else None
-    token = _RUN.set(_Run(config, cache))
+    token = _RUN.set(_Run(config, cache, _KnownPrimes()))
     order_tower.cache_clear()
     try:
         yield

@@ -128,6 +128,21 @@ def _certified(a: int, n: int, h: int, h_primes: tuple[int, ...]) -> bool:
     return pow(a, h, n) == 1 and all(gcd(pow(a, h // r, n) - 1, n) == 1 for r in h_primes)
 
 
+def _two_orders(a: int, n: int, h: int, h_primes: tuple[int, ...]) -> bool:
+    """True when n is shown to have primes of two orders, given h's primes:
+    some prime q of h divides n, and W, n with every such q divided out,
+    exceeds 1 and passes the order certificate for h.
+
+    Every prime of W then gives a the order h, while ord_q(a) divides
+    q - 1 < q <= h. So n is not primover, and no factor of W is needed.
+    """
+    w = n
+    for q in h_primes:
+        while w % q == 0:
+            w //= q
+    return 1 < w < n and _certified(a, w, h, h_primes)
+
+
 def classify(a: int, n: int, *, order: int | None = None) -> Classification:
     """Full classification of n to base a; a base below 2 or a subject
     below 2 raises DomainError.
@@ -143,7 +158,11 @@ def classify(a: int, n: int, *, order: int | None = None) -> Classification:
     if that factorization runs out of budget, the certified verdict comes
     back without factors or orders. A hint that fails the certificate is
     ignored and the order criterion decides, so a hint changes only the
-    cost of a verdict, never the verdict.
+    cost of a verdict, never the verdict. When the criterion's
+    factorization runs out of budget, a failed hint can still decide: if
+    stripping the primes of gcd(n, order) from n leaves a part that passes
+    the certificate (see _two_orders), n is composite-not-primover, and the
+    verdict comes back without factors or orders.
     """
     require_base(a)
     if n <= 1:
@@ -168,7 +187,8 @@ def classify(a: int, n: int, *, order: int | None = None) -> Classification:
             Status.COMPOSITE_NOT_PRIMOVER,
             Evidence(reason=f"shares the factor {g} with the base"),
         )
-    if order is not None and order > 1 and _certified(a, n, order, factorize(order).primes):
+    h_primes = factorize(order).primes if order is not None and order > 1 else None
+    if h_primes is not None and _certified(a, n, order, h_primes):
         try:
             f = factorize(n)
         except IncompleteFactorizationError:
@@ -177,7 +197,17 @@ def classify(a: int, n: int, *, order: int | None = None) -> Classification:
         orders = tuple((p, j, order) for p, e in f.factors for j in range(1, e + 1))
         crit = OrderCriterionTest(True, f, orders, order)
     else:
-        crit = _order_criterion(a, n)
+        try:
+            crit = _order_criterion(a, n)
+        except IncompleteFactorizationError:
+            if h_primes is None or not _two_orders(a, n, order, h_primes):
+                raise
+            reason = (
+                f"the primes of gcd(n, {order}) have orders below {order}, and the rest "
+                f"of n passes the order certificate for h = {order}; "
+                "the factorization budget ran out"
+            )
+            return Classification(n, a, Status.COMPOSITE_NOT_PRIMOVER, Evidence(reason=reason))
     r = None
     if n <= settings().coset_ceiling:
         r = coset_count(a, n, factorization=crit.factorization)

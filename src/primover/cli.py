@@ -3,7 +3,8 @@
 One verb per invocation; every verb can emit a human-readable text report
 or a single JSON document (--format json) whose "result" is the fields of
 the verb's result record. Numbers are accepted in decimal or as the
-expressions a^n-1 / a^n+1. The run's Config is built once, from the
+expressions a^n-1 / a^n+1; `classify` passes a subject written a^n+1, a the
+--base, the order hint 2n. The run's Config is built once, from the
 settings file and environment with the flags that override a setting
 (--cache, --ceiling, --workers) replaced in, and every library call in the
 verb reads it through arith.settings(); no handler passes a setting on.
@@ -74,6 +75,20 @@ def parse_number(text: str) -> int:
     raise ValueError(f"not a number or a^n±1 expression: {text!r}")
 
 
+class _Subject(argparse.Action):
+    """Stores the subject's value, and as plus_one the (b, m) of a subject
+    written b^m+1 (None otherwise), from which classify takes its hint."""
+
+    def __call__(self, parser, namespace, text, option_string=None):
+        try:
+            namespace.subject = parse_number(text)
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+        m = _EXPRESSION.match(text.strip())
+        plus_one = m is not None and m.group(3) == "+1"
+        namespace.plus_one = (int(m.group(1)), int(m.group(2))) if plus_one else None
+
+
 class _UsageError(Exception):
     def __init__(self, parser: argparse.ArgumentParser, message: str):
         self.parser = parser
@@ -120,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("classify", "full primover classification of N")
-    p.add_argument("subject", type=_number)
+    p.add_argument("subject", action=_Subject)
 
     p = add("cosets", "cyclotomic coset decomposition of a mod n")
     p.add_argument("modulus", type=_number)
@@ -217,7 +232,10 @@ def _verdict_report(v: construct.ConstructionVerdict):
 
 
 def _cmd_classify(args):
-    c = classify_subject(args.base, args.subject)
+    # b^m + 1 divides b^(2m) - 1, so 2m is a candidate for the order of b;
+    # classify ignores a hint that fails the order certificate
+    b, m = args.plus_one or (None, None)
+    c = classify_subject(args.base, args.subject, order=2 * m if b == args.base else None)
     return _classification_payload(c), _classification_lines(c), c.probabilistic
 
 
@@ -310,7 +328,7 @@ _HANDLERS = {
 
 
 def _command_echo(args) -> dict:
-    skip = {"verb", "config", "format", "cache", "kind"}
+    skip = {"verb", "config", "format", "cache", "kind", "plus_one"}
     arguments = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }

@@ -312,7 +312,9 @@ class TestPollardPMinus1:
         # 1023 rho steps and the attempt's charge (about 12,500) fit in 20,000
         with use_config(Config(rho_budget=20_000)):
             assert factorize(n).factors == ((self.P, 1), (self.Q, 1))
-            monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: 0)
+        # a block of its own: in the first, the known-prime memo would split n
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: 0)
+        with use_config(Config(rho_budget=20_000)):
             with pytest.raises(IncompleteFactorizationError):
                 factorize(n)
 
@@ -401,6 +403,77 @@ class TestPollardPMinus1:
     def test_semiprimes_of_30_to_44_bits_factor_exactly(self):
         for n, factors in semiprime_sample(2020, 200, range(30, 45), range(30, 45)):
             assert factorize(n).factors == factors, n
+
+
+class TestKnownPrimes:
+    """At rho's checkpoint, one gcd with the primes the run has proved."""
+
+    @staticmethod
+    def sharing_semiprimes():
+        # three 26-bit primes, each in two semiprimes with a fresh 26-bit
+        # prime: rho leaves every one whole after its first 1023 steps
+        rng = random.Random(2424)
+        shared = [random_prime(rng, 26) for _ in range(3)]
+        first = [(p, random_prime(rng, 26)) for p in shared]
+        later = [(p, random_prime(rng, 26)) for p in shared]
+        return first, later
+
+    def count_attempts(self, monkeypatch):
+        calls = []
+        real = arith._pollard_pm1
+        monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: calls.append(n) or real(n, budget))
+        return calls
+
+    def test_later_semiprimes_split_from_the_memo(self, monkeypatch):
+        first, later = self.sharing_semiprimes()
+        calls = self.count_attempts(monkeypatch)
+        with use_config(Config()):
+            fresh = [factorize(p * q) for p, q in later]
+        assert len(calls) == len(later)  # without the memo, each needs p - 1
+        calls.clear()
+        with use_config(Config()):
+            for p, q in first:
+                assert factorize(p * q).factors == tuple(sorted(((p, 1), (q, 1))))
+            assert len(calls) == len(first)
+            for (p, q), f in zip(later, fresh):
+                assert factorize(p * q) == f
+                assert f.factors == tuple(sorted(((p, 1), (q, 1))))
+        assert len(calls) == len(first)
+
+    def test_memo_prime_dividing_the_whole_number(self):
+        first, _ = self.sharing_semiprimes()
+        (p, q), (r, s) = first[:2]
+        with use_config(Config()):
+            factorize(p * q)
+            factorize(r * s)
+            # every prime of p * r is known, so the gcd is p * r itself
+            assert arith._RUN.get().known.divisor(p * r) == min(p, r)
+            assert factorize(p * r).factors == tuple(sorted(((p, 1), (r, 1))))
+
+    def test_memo_does_not_reach_a_fresh_block(self, monkeypatch):
+        n = TestPollardPMinus1.P * TestPollardPMinus1.Q
+        with use_config(Config()):
+            factorize(n)
+            # 1024 reaches the checkpoint, where the outer memo splits n ...
+            monkeypatch.setattr(arith, "_pollard_pm1", lambda n, budget: 0)
+            assert len(factorize(n).factors) == 2
+            # ... but a fresh block starts with an empty one
+            for budget in (10, 1024):
+                with use_config(Config(rho_budget=budget)):
+                    with pytest.raises(IncompleteFactorizationError):
+                        factorize(n)
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(arith, "_KNOWN_MAX", 4)
+        memo = arith._KnownPrimes()
+        primes = [p for p in primes_upto(20_000) if p > 10_000][:11]
+        for i, p in enumerate(primes):
+            memo.learn([p, p])
+            assert 1 <= len(memo._primes) <= 4
+            assert memo.divisor(p * 3) == p, i
+        assert memo.divisor(primes[0] * 3) == 0  # dropped when the memo started over
+        memo.learn([2**64 + 13])  # above 64 bits: not kept
+        assert len(memo._primes) == 3
 
 
 class TestTotients:

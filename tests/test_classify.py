@@ -266,6 +266,21 @@ class TestOrderHint:
         assert classify(2, 2359, order=21) == plain
         assert plain.evidence.orders == ((7, 1, 3), (337, 1, 21))
 
+    def test_stripped_gcd_decides_when_the_budget_runs_out(self):
+        # V = Phi_253(2), 220 bits: 23 | V has order 11, and V / 23 passes
+        # the certificate for 253, so V has primes of two orders
+        v = primover.arith.cyclotomic_value(2, primover.arith.cyclotomic_terms(253, (11, 23)))
+        assert gcd(v, 253) == 23 and v % 23**2
+        with use_config(Config(rho_budget=20_000)):
+            c = classify(2, v, order=253)
+            assert c.status is Status.COMPOSITE_NOT_PRIMOVER
+            ev = c.evidence
+            assert (ev.h, ev.r, ev.factorization, ev.orders) == (None, None, None, None)
+            assert "gcd(n, 253)" in ev.reason and "budget" in ev.reason
+            # without the hint the criterion still needs the factorization
+            with pytest.raises(IncompleteFactorizationError):
+                classify(2, v)
+
 
 class TestStrongPseudoprime:
     def test_known_values(self):

@@ -255,6 +255,18 @@ class TestCliVerbs:
         assert res["evidence"]["h"] == 64
         assert doc["probabilistic"] is False
 
+    def test_classify_plus_one_carries_the_order_hint(self, capsys, monkeypatch):
+        # F_7 = 2^128 + 1: rho cannot split it within this budget, but the
+        # hint 2 * 128 passes the certificate
+        monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "100000")
+        code, out, _ = run_cli(capsys, "classify", "2^128+1")
+        assert code == 0 and "overpseudoprime (primover)" in out
+        assert "certificate for h = 256" in out and "factors" not in out
+        # no hint for another base, or in decimal
+        for argv in (("--base", "3", "2^128+1"), (str(2**128 + 1),)):
+            code, _, err = run_cli(capsys, "classify", *argv)
+            assert code == 2 and "budget exhausted" in err, argv
+
     def test_classify_prime(self, capsys):
         doc = run_json(capsys, "classify", "65537")
         assert doc["result"]["status"] == "prime"
@@ -539,12 +551,16 @@ def _check_coset_ceiling(capsys, monkeypatch, tmp_path):
 
 
 def _check_trial_bound(capsys, monkeypatch, tmp_path):
-    # 641 falls to trial division at the default bound, not at 10
+    # 641 falls to trial division at the default bound, not at 10. The
+    # subject is 2^32 + 1 in decimal: written 2^32+1 it carries the order
+    # hint 64, whose certificate decides it without the factorization
     monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
-    assert run_cli(capsys, "classify", "2^32+1")[0] == 0
+    assert run_cli(capsys, "classify", "4294967297")[0] == 0
     monkeypatch.setenv("PRIMOVER_TRIAL_BOUND", "10")
-    code, _, err = run_cli(capsys, "classify", "2^32+1")
+    code, _, err = run_cli(capsys, "classify", "4294967297")
     assert code == 2 and "budget exhausted" in err
+    code, out, _ = run_cli(capsys, "classify", "2^32+1")
+    assert code == 0 and "overpseudoprime (primover)" in out and "budget ran out" in out
 
 
 def _check_rho_budget(capsys, monkeypatch, tmp_path):
