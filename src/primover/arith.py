@@ -3,8 +3,8 @@
 Everything operates on Python's arbitrary-precision ints and is a pure
 function of its inputs and the run's settings: one context variable holds
 the Config, the factorization cache opened from its cache_path and the
-known-prime memo rho consults, and use_config installs them for a block.
-Outside any such block the defaults apply with no cache and one memo.
+known-prime memo that factorize hands rho, and use_config installs them for
+a block. Outside any such block the defaults apply with no cache and one memo.
 """
 from __future__ import annotations
 
@@ -70,7 +70,7 @@ _PI_BELOW_13 = (0, 0, 1, 2, 2, 3, 3, 4, 4, 4, 4, 5, 5)  # pi(v) for v <= 12
 def _wheel_counts() -> array:
     """T[m] = #{1 <= x <= m : gcd(x, 30030) = 1} for 0 <= m < 30030.
 
-    60 KB as an array('H'); built on first use, about 2 ms, not at import.
+    60 KB as an array('H'); built on first use, not at import.
     """
     sieve = bytearray([1]) * _WHEEL
     sieve[0] = 0
@@ -94,8 +94,7 @@ def prime_count(n: int) -> int:
     each p * q <= n with p <= q primes above y and 13 (three such primes
     exceed n). So pi(n) = S(n) - sum over the primes p <= isqrt(n) above y
     and 13 of S(n // p) - S(p) + 1. About n^(3/4) / log(n) steps in O(sqrt(n))
-    memory. On one core of a 2-core Xeon with Python 3.11.7, pi(2^20)
-    takes 2.1 ms, pi(10^9) 0.49 s and pi(10^10) 2.4-2.7 s.
+    memory.
     """
     if n < 2:
         return 0
@@ -339,14 +338,14 @@ _PM1_D = 2 * 3 * 5 * 7 * 11
 @lru_cache(maxsize=1)
 def _pm1_tables() -> tuple[int, int, tuple[tuple[int, ...], ...], int, int]:
     """(E, first, rows, top, cost) for _pollard_pm1, built on first use,
-    about 4 ms, not at import.
+    not at import.
 
     E = lcm(1..B1), 2,878 bits. Each prime B1 < q <= B2 is kD - j or kD + j
     for one k and one odd j < D/2 coprime to D = 2310; rows[i] holds the j
     so paired with k = first + i (first is 1, the last k 22): 3,727 pairs
     for the 4,830 primes. The rows share the j's int objects, about 40 KB.
-    top is the largest j, 1153. cost is one step per bit of E and two per
-    stage-2 prime: 12,538.
+    top is the largest j, 1153. cost, the attempt's fixed charge, is one
+    step per bit of E and two per stage-2 prime: 12,538.
     """
     exponent = lcm(*range(1, _PM1_B1 + 1))
     stage2 = bytearray(_PM1_B2 + _PM1_D)  # 1 at each prime B1 < q <= B2
@@ -375,8 +374,7 @@ def _pollard_pm1(n: int, budget: list[int]) -> int:
     product a pair, and one gcd cover every prime B1 < q <= B2. The V_j
     come from V_(j+2) = V_j * V_2 - V_(j-2), the V_kD from
     V_(k+1)D = V_kD * V_D - V_(k-1)D. A gcd of 1 or of n is a failure. The
-    attempt's cost is charged to budget before it starts; the second
-    stage-1 pow is not charged.
+    cost is charged to budget before the attempt starts.
     """
     exponent, first, rows, top, cost = _pm1_tables()
     budget[0] -= cost
@@ -459,23 +457,17 @@ class _KnownPrimes:
         return g if g > 1 else 0
 
 
-def _brent_rho(n: int, budget: list[int]) -> int:
-    """A nontrivial factor of odd composite n, Brent's cycle variant.
+def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
+    """A nontrivial factor of odd composite n, Brent's cycle variant, with
+    the known-prime check and the p - 1 attempt at its checkpoint.
 
-    The polynomial shift walks a fixed schedule so results are reproducible.
-    budget is a one-element mutable cell shared by the whole factorization.
-    Rho charges it one step for each pass of the accumulating loop, which
-    applies f(y) = y^2 + c and multiplies x - y into q; the advance of y by
-    r steps at the start of each round and the backtrack after a gcd of n
-    are not charged, so it counts about half the applications of f. Before
-    the first round that would take the charge on n past _RHO_FIRST (for
-    c = 1, after the rounds up to r = 512, 1023 steps), rho checks n once
-    against the primes the run has already proved (_KnownPrimes.divisor,
-    uncharged) and returns a factor found there. Failing that, one
-    _pollard_pm1 attempt (stage 1 from base 3, then from base 2 when base 3
-    gives the gcd n, and a paired stage 2) charges its own cost, 12,538
-    steps, which leaves the second stage-1 pow uncharged; when it finds no
-    factor, the walk goes on where it stopped.
+    Rho charges budget one step for each pass of the accumulating loop,
+    which applies f(y) = y^2 + c and multiplies x - y into q; the advance
+    of y at the start of each round and the backtrack after a gcd of n are
+    not charged. The checkpoint comes before the first round that would
+    take the charge on n past _RHO_FIRST: for c = 1, after the rounds up to
+    r = 512, 1023 steps. When neither finds a factor, the walk goes on where
+    it stopped.
     """
     start = budget[0]
     pm1 = True  # the memo check and the p - 1 attempt are still to make
@@ -487,7 +479,7 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         while g == 1:
             if pm1 and start - budget[0] + r > _RHO_FIRST:
                 pm1 = False
-                d = _RUN.get().known.divisor(n) or _pollard_pm1(n, budget)
+                d = known.divisor(n) or _pollard_pm1(n, budget)
                 if d:
                     return d
             x = y
@@ -516,38 +508,27 @@ def _brent_rho(n: int, budget: list[int]) -> int:
         c += 1  # degenerate cycle, retry with the next shift
 
 
-def _split(m: int, counts: dict[int, int], budget: list[int]) -> None:
-    # m >= 2: factorize passes m > 1, and both parts of a split exceed 1
-    if check_prime(m).value:
-        counts[m] = counts.get(m, 0) + 1
-        return
-    root = isqrt(m)
-    if root * root == m:  # rho converges slowly on squares, peel them directly
-        _split(root, counts, budget)
-        _split(root, counts, budget)
-        return
-    d = _brent_rho(m, budget)
-    _split(d, counts, budget)
-    _split(m // d, counts, budget)
-
-
 def factorize(n: int) -> Factorization:
-    """Fully factor n >= 2: trial division, then Brent rho on what remains.
-    On each composite that rho has not split after its first 1023 charged
-    steps, rho first takes one gcd with the product of the primes of at
-    most 64 bits, above the trial bound, that the run's completed
-    factorizations have proved (the known-prime memo, which charges
-    nothing), and then makes one Pollard p - 1 attempt: stage 1 from base 3,
-    then from base 2 when base 3 gives the gcd of the whole number, and
-    Montgomery's paired stage 2. The attempt charges 12,538 steps whichever
-    bases it runs; the second stage-1 pow is not charged.
+    """Fully factor n >= 2 under the run's trial bound, rho budget, cache
+    and known-prime memo. Raises IncompleteFactorizationError, carrying the
+    partial result, when the budget runs out.
 
-    The trial bound, the rho budget, the cache and the memo come from the
-    run: use_config starts an empty memo, and outside any block one memo
-    serves the process. The memo moves only cost; a completed factorization
-    is the same with or without it. Raises IncompleteFactorizationError
-    when the budget, which rho and the p - 1 attempts share, runs out,
-    carrying the partial result.
+    Trial division takes out the primes up to the trial bound. What is left
+    is split depth first, a factor d before its cofactor: a prime is
+    counted, a square is peeled, and any other composite goes to Brent's
+    rho. The budget is one count of steps for the whole factorization. Rho
+    charges it one step per pass of its accumulating loop. Before the round
+    that would take its charge on a number past 1023 steps, rho takes one
+    uncharged gcd with the product of the primes in the memo, and failing
+    that makes one Pollard p - 1 attempt: stage 1 from base 3, and again
+    from base 2 when base 3 gives the gcd of the whole number, then
+    Montgomery's paired stage 2. The attempt charges 12,538 steps before it
+    starts, whichever bases it runs.
+
+    The memo holds the primes of at most 64 bits, above the trial bound,
+    that the run's completed factorizations proved. use_config starts an
+    empty one, and outside any block one memo serves the process. It moves
+    only cost: a completed factorization is the same with or without it.
     """
     if n < 2:
         raise DomainError("factorization needs n >= 2")
@@ -572,8 +553,19 @@ def factorize(n: int) -> Factorization:
                     counts[p] = counts.get(p, 0) + 1
                     m //= p
     if m > 1:
+        budget, stack = [config.rho_budget], [m]
         try:
-            _split(m, counts, [config.rho_budget])
+            while stack:
+                m = stack.pop()
+                if check_prime(m).value:
+                    counts[m] = counts.get(m, 0) + 1
+                    continue
+                root = isqrt(m)
+                if root * root == m:  # rho converges slowly on squares, peel them directly
+                    stack += (root, root)
+                    continue
+                d = _brent_rho(m, budget, known)
+                stack += (m // d, d)
         except _BudgetExhausted:
             done = prod(p**e for p, e in counts.items())
             raise IncompleteFactorizationError(n, counts, n // done) from None
@@ -680,14 +672,15 @@ class FactorizationCache:
     """Line-oriented factor table: each record is "n p1^e1 p2^e2 ...".
 
     Records loaded from disk are re-validated (recomposition and primality);
-    malformed or wrong lines are skipped with a warning. put() appends under
-    a lock so concurrent writers interleave whole lines. A file that cannot
-    be read or written costs a warning, never an error: the cache goes on
-    in memory only.
+    malformed or wrong lines are skipped with a warning. The table keeps
+    each Factorization as it was checked when loaded or put, and get()
+    returns it. put() appends under a lock so concurrent writers interleave
+    whole lines. A file that cannot be read or written costs a warning,
+    never an error: the cache goes on in memory only.
     """
 
     def __init__(self, path: str | None = None):
-        self._table: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._table: dict[int, Factorization] = {}
         self._lock = threading.Lock()
         self._path = path
         if path is not None:
@@ -707,15 +700,14 @@ class FactorizationCache:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parsed = self._parse(line)
-            if parsed is None:
+            f = self._parse(line)
+            if f is None:
                 warnings.warn(f"{path}:{lineno}: skipping bad cache record")
                 continue
-            n, factors = parsed
-            self._table[n] = factors
+            self._table[f.subject] = f
 
     @staticmethod
-    def _parse(line: str) -> tuple[int, tuple[tuple[int, int], ...]] | None:
+    def _parse(line: str) -> Factorization | None:
         fields = line.split()
         if len(fields) < 2:
             return None
@@ -730,19 +722,16 @@ class FactorizationCache:
             return None
         if not all(check_prime(p).value for p in f.primes):
             return None
-        return n, f.factors
+        return f
 
     def get(self, n: int) -> Factorization | None:
-        factors = self._table.get(n)
-        if factors is None:
-            return None
-        return Factorization(n, factors)
+        return self._table.get(n)
 
     def put(self, f: Factorization) -> None:
         with self._lock:
             if f.subject in self._table:
                 return
-            self._table[f.subject] = f.factors
+            self._table[f.subject] = f
             if self._path is not None:
                 record = f"{f.subject} {format_powers(f.factors, ' ')}"
                 try:

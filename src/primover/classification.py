@@ -16,6 +16,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from primover.arith import (
+    DETERMINISTIC_PRIMALITY_BOUND,
     Factorization,
     _strong_probable,
     check_prime,
@@ -163,6 +164,9 @@ def classify(a: int, n: int, *, order: int | None = None) -> Classification:
     stripping the primes of gcd(n, order) from n leaves a part that passes
     the certificate (see _two_orders), n is composite-not-primover, and the
     verdict comes back without factors or orders.
+
+    probabilistic flags a verdict that rests on a probable prime: n, or a
+    prime of the factorization reported, at or above psi_13.
     """
     require_base(a)
     if n <= 1:
@@ -233,6 +237,7 @@ def classify(a: int, n: int, *, order: int | None = None) -> Classification:
             orders=crit.orders,
             reason=reason,
         ),
+        probabilistic=crit.factorization.primes[-1] >= DETERMINISTIC_PRIMALITY_BOUND,
     )
 
 

@@ -247,6 +247,24 @@ class TestFactorization:
         assert err.remainder == 1000003 * 1000033
         assert err.partial != {}  # budget failures are not smaller factorizations
 
+    def test_split_order_after_rho_splits_once(self):
+        # rho's first split of p * q * r, 128 charged steps in, gives the
+        # prime q; the cofactor p * r comes next and needs 383 steps in all
+        p, q, r = 2579179, 3911221, 4155079
+        outcomes = {}
+        for budget in (127, 128, 382):
+            with pytest.raises(IncompleteFactorizationError) as info:
+                with use_config(Config(rho_budget=budget)):
+                    factorize(7 * p * q * r)
+            outcomes[budget] = (info.value.partial, info.value.remainder)
+        assert outcomes == {
+            127: ({7: 1}, p * q * r),
+            128: ({7: 1, q: 1}, p * r),
+            382: ({7: 1, q: 1}, p * r),
+        }
+        with use_config(Config(rho_budget=383)):
+            assert factorize(7 * p * q * r).factors == ((7, 1), (p, 1), (q, 1), (r, 1))
+
     def test_invalid_subject(self):
         for bad in (1, 0, -6):
             with pytest.raises(DomainError):

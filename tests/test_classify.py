@@ -172,6 +172,15 @@ class TestClassify:
         assert not c.primover
         assert c.evidence.reason is not None
 
+    def test_composite_resting_on_a_probable_prime_is_flagged(self):
+        # 2^89 - 1 is above psi_13, so its primality is probable only
+        m89 = 2**89 - 1
+        c = classify(2, 3 * m89)
+        assert c.status is Status.COMPOSITE_NOT_PRIMOVER
+        assert c.evidence.factorization.factors == ((3, 1), (m89, 1))
+        assert c.probabilistic
+        assert not classify(2, 341).probabilistic
+
     def test_even_composite(self):
         c = classify(2, 15 * 2)
         assert c.status is Status.COMPOSITE_NOT_PRIMOVER
@@ -238,6 +247,12 @@ class TestOrderHint:
             assert classify(a, v, order=n) == plain, (a, n)
             certified += plain.status is Status.OVERPSEUDOPRIME and gcd(v, n) == 1
         assert certified > 100
+
+    def test_certified_route_flags_a_probable_prime_factor(self):
+        v = (2**121 - 1) // (2**11 - 1)  # 727 times a 101-bit probable prime
+        plain = classify(2, v)
+        assert plain.status is Status.OVERPSEUDOPRIME and plain.probabilistic
+        assert classify(2, v, order=121) == plain
 
     def test_wrong_hints_give_the_unhinted_answer(self):
         for a, n, v, plain in unhinted_cyclotomic_values():

@@ -147,6 +147,14 @@ class TestConfig:
         cfg = load_config(env={"PRIMOVER_CONFIG": str(p)})
         assert cfg.workers == 3
 
+    def test_list_root_warns_once_and_defaults(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps([{"workers": 3}]))
+        with pytest.warns(UserWarning) as record:
+            assert load_config(str(p), env={}) == Config()
+        assert len(record) == 1
+        assert "config root must be an object" in str(record[0].message)
+
     def test_bad_env_integer_warns(self):
         with pytest.warns(UserWarning, match="non-integer"):
             cfg = load_config(env={"PRIMOVER_RHO_BUDGET": "lots"})
@@ -405,6 +413,15 @@ class TestCliContracts:
             code, _, err = run_cli(capsys, *argv)
             assert code == 1, argv
             assert "usage" in err or "error" in err
+
+    @pytest.mark.parametrize(
+        "argv", (["cosets", "12x"], ["scan", "--base", "2^x", "100"])
+    )
+    def test_malformed_number_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "not a number or a^n±1 expression" in err
 
     def test_domain_errors_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "8")
