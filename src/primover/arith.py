@@ -222,15 +222,15 @@ def check_prime(n: int) -> PrimalityResult:
     """Primality verdict plus a flag for whether it relied on unproven witnesses.
 
     One gcd with the product of the primes below 1000 screens n first. Past
-    the screen, n is decided by the strong test to the first t prime bases,
-    t the least with n < psi_t in _WITNESS_TIERS: one base below 2047, four
-    below 3215031751, thirteen from psi_12 = 318665857834031151167461 up
-    (Jaeschke, Math. Comp. 61 (1993); Sorenson & Webster, Math. Comp. 86
-    (2017), arXiv 1509.00864; OEIS A014233). So the verdict is deterministic
-    (flag False) for every n below DETERMINISTIC_PRIMALITY_BOUND = psi_13.
-    From psi_13 up, one strong Lucas test follows the thirteen bases: the
-    Baillie-PSW test, which no known composite passes but none is proven to
-    fail (Baillie, Fiori & Wagstaff, Math. Comp. 90 (2021), arXiv
+    the screen, n below DETERMINISTIC_PRIMALITY_BOUND = psi_13 is decided by
+    the strong test to the first t prime bases, t the least with n < psi_t
+    in _WITNESS_TIERS: one base below 2047, four below 3215031751, thirteen
+    from psi_12 = 318665857834031151167461 up (Jaeschke, Math. Comp. 61
+    (1993); Sorenson & Webster, Math. Comp. 86 (2017), arXiv 1509.00864;
+    OEIS A014233), so the verdict is deterministic (flag False). From
+    psi_13 up, n takes the Baillie-PSW test: the strong test to base 2, then
+    one strong Lucas test. No known composite passes it, but none is proven
+    to fail (Baillie, Fiori & Wagstaff, Math. Comp. 90 (2021), arXiv
     2006.14425), so a "prime" answer there is flagged. Composites are exact.
     """
     if n < 2:
@@ -239,13 +239,11 @@ def check_prime(n: int) -> PrimalityResult:
         return PrimalityResult(n in _SMALL_PRIMES, False)
     if n < _SCREENED:
         return PrimalityResult(True, False)
-    t = next((t for psi, t in _WITNESS_TIERS if n < psi), len(_WITNESSES))
-    if not all(_strong_probable(n, a) for a in _WITNESSES[:t]):
-        return PrimalityResult(False, False)
-    if n < DETERMINISTIC_PRIMALITY_BOUND:
-        return PrimalityResult(True, False)
-    probable = _strong_lucas_probable(n)
-    return PrimalityResult(probable, probable)  # only a "prime" answer is unproven
+    if n >= DETERMINISTIC_PRIMALITY_BOUND:
+        probable = _strong_probable(n, 2) and _strong_lucas_probable(n)
+        return PrimalityResult(probable, probable)  # only a "prime" answer is unproven
+    t = next(t for psi, t in _WITNESS_TIERS if n < psi)
+    return PrimalityResult(all(_strong_probable(n, a) for a in _WITNESSES[:t]), False)
 
 
 def is_prime(n: int) -> bool:
@@ -408,6 +406,119 @@ def _pollard_pm1(n: int, budget: list[int]) -> int:
     return g if 1 < g < n else 0
 
 
+# Rho's charge on a number, the p - 1 attempt's included, past which rho
+# hands the number to ECM, and the fixed charge of each curve: one curve on
+# a number of 50-160 bits takes as long as 19,000-29,000 rho steps on it
+_ECM_FROM = 16_384
+_ECM_CURVE = 25_000
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """gcd(n, what one elliptic curve finds): 1 when the curve finds no
+    prime of n, n when it finds them all, a factor of n otherwise.
+
+    The curve is By^2 = x^3 + Ax^2 + x in Montgomery's x-only form, with
+    Suyama's parametrization: u = sigma^2 - 5, v = 4 sigma, the point
+    P = (u^3 : v^3) and (A + 2) / 4 = (v - u)^3 (3u + v) / (16 u^3 v), so
+    12 divides the group order mod every prime. Stage 1 is one Montgomery
+    ladder, Q = E * P with the E of _pm1_tables. Stage 2 pairs as
+    _pollard_pm1 does: x(kD Q) = x(j Q) mod p exactly when (kD - j) Q or
+    (kD + j) Q is the identity mod p, so the product of X_kD - x_j Z_kD over
+    the pairs, one product a pair, with the x_j made affine by one batched
+    inverse, and one gcd cover every prime B1 < q <= B2. An inverse that
+    does not exist gives its gcd instead.
+    """
+    exponent, first, rows, top, _ = _pm1_tables()
+    u, v = (sigma * sigma - 5) % n, 4 * sigma
+    u3, v3 = u * u * u % n, v * v * v % n
+    den = 16 * u3 * v % n
+    g = gcd(den * v3, n)
+    if g != 1:
+        return g
+    inverse = pow(den * v3, -1, n)
+    a24 = (v - u) ** 3 * (3 * u + v) * inverse * v3 % n
+
+    def double(X: int, Z: int) -> tuple[int, int]:
+        s, d = (X + Z) ** 2, (X - Z) ** 2
+        return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+    def add(P: tuple[int, int], Q: tuple[int, int], R: tuple[int, int]) -> tuple[int, int]:
+        # P + Q from P, Q and R = P - Q
+        a, b = (P[0] - P[1]) * (Q[0] + Q[1]), (P[0] + P[1]) * (Q[0] - Q[1])
+        return R[1] * (a + b) ** 2 % n, R[0] * (a - b) ** 2 % n
+
+    def ladder(k: int, x: int) -> tuple[int, int]:
+        # k (x : 1) as (X1 : Z1), with (X2 : Z2) one multiple ahead; double
+        # and add are written out, as this loop is most of a curve's time
+        X1, Z1 = x, 1
+        X2, Z2 = double(x, 1)
+        for bit in bin(k)[3:]:
+            a, b = (X1 - Z1) * (X2 + Z2), (X1 + Z1) * (X2 - Z2)
+            if bit == "1":
+                X1, Z1 = (a + b) ** 2 % n, x * (a - b) ** 2 % n
+                s, d = (X2 + Z2) ** 2 % n, (X2 - Z2) ** 2 % n
+                X2, Z2 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+            else:
+                X2, Z2 = (a + b) ** 2 % n, x * (a - b) ** 2 % n
+                s, d = (X1 + Z1) ** 2 % n, (X1 - Z1) ** 2 % n
+                X1, Z1 = s * d % n, (s - d) * (d + a24 * (s - d)) % n
+        return X1, Z1
+
+    X, Z = ladder(exponent, u3 * inverse * den % n)  # P = (u^3 / v^3 : 1)
+    g = gcd(Z, n)
+    if g != 1:
+        return g
+    q = (X * pow(Z, -1, n) % n, 1)  # Q, affine
+    # baby steps: jQ for odd j, as (j - 2)Q + 2Q with difference (j - 4)Q
+    # (x(-Q) = x(Q)), kept only for the j coprime to D that the pairs use
+    two, back, last = double(*q), q, q
+    units, points = [1], [q]
+    for j in range(3, top + 1, 2):
+        back, last = last, add(last, two, back)
+        if gcd(j, _PM1_D) == 1:
+            units.append(j)
+            points.append(last)
+    # x_j = X_j / Z_j with one inverse of the product of the Z_j; Q is affine already
+    partial = list(accumulate((Z for _, Z in points), lambda c, z: c * z % n))
+    g = gcd(partial[-1], n)
+    if g != 1:
+        return g
+    inverse = pow(partial[-1], -1, n)
+    xj = [0] * (top + 1)
+    xj[1] = q[0]
+    for i in range(len(units) - 1, 0, -1):
+        X, Z = points[i]
+        xj[units[i]], inverse = X * inverse * partial[i - 1] % n, inverse * Z % n
+    # giant steps: (k + 1)DQ = kDQ + DQ with difference (k - 1)DQ
+    dq = ladder(_PM1_D, q[0])
+    here, ahead = dq, double(*dq)  # kDQ and (k + 1)DQ at k = 1
+    acc = 1
+    for js in ((),) * (first - 1) + rows:  # rows[0] is k = first
+        X, Z = here
+        for j in js:
+            acc = acc * (X - xj[j] * Z) % n
+        here, ahead = ahead, add(ahead, dq, here)
+    return gcd(acc, n)
+
+
+def _ecm(n: int, budget: list[int]) -> int:
+    """A nontrivial factor of n, which is coprime to 6, by Lenstra's
+    elliptic-curve method: _ecm_curve for sigma = 6 + (n mod 2^32) and up,
+    one curve after another, until one gives a gcd other than 1 and n. So
+    every run tries the same curves. Each curve charges _ECM_CURVE steps to
+    budget before it starts, and the budget is the only bound on the curves.
+    """
+    sigma = 6 + n % (1 << 32)
+    while True:
+        budget[0] -= _ECM_CURVE
+        if budget[0] <= 0:
+            raise _BudgetExhausted
+        g = _ecm_curve(n, sigma)
+        if 1 < g < n:
+            return g
+        sigma += 1
+
+
 # The known-prime memo keeps primes of at most _KNOWN_BITS bits, and at most
 # _KNOWN_MAX of them, so the product rho takes a gcd with stays under 2^22 bits
 _KNOWN_BITS = 64
@@ -459,15 +570,19 @@ class _KnownPrimes:
 
 def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
     """A nontrivial factor of odd composite n, Brent's cycle variant, with
-    the known-prime check and the p - 1 attempt at its checkpoint.
+    the known-prime check and the p - 1 attempt at its first checkpoint and
+    ECM at its second.
 
     Rho charges budget one step for each pass of the accumulating loop,
     which applies f(y) = y^2 + c and multiplies x - y into q; the advance
     of y at the start of each round and the backtrack after a gcd of n are
-    not charged. The checkpoint comes before the first round that would
-    take the charge on n past _RHO_FIRST: for c = 1, after the rounds up to
-    r = 512, 1023 steps. When neither finds a factor, the walk goes on where
-    it stopped.
+    not charged. A checkpoint comes before the first round that would take
+    the charge on n, the p - 1 attempt's included, past its constant. The
+    first, _RHO_FIRST, comes for c = 1 after the rounds up to r = 512, 1023
+    steps; when neither the memo nor the attempt finds a factor, the walk
+    goes on where it stopped. The second, _ECM_FROM, comes after the round
+    r = 1024, 14,585 steps with the attempt's; there rho hands n to _ecm
+    and does not resume.
     """
     start = budget[0]
     pm1 = True  # the memo check and the p - 1 attempt are still to make
@@ -482,6 +597,8 @@ def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
                 d = known.divisor(n) or _pollard_pm1(n, budget)
                 if d:
                     return d
+            if start - budget[0] + r > _ECM_FROM:
+                return _ecm(n, budget)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -523,7 +640,11 @@ def factorize(n: int) -> Factorization:
     that makes one Pollard p - 1 attempt: stage 1 from base 3, and again
     from base 2 when base 3 gives the gcd of the whole number, then
     Montgomery's paired stage 2. The attempt charges 12,538 steps before it
-    starts, whichever bases it runs.
+    starts, whichever bases it runs. Before the round that would take the
+    charge on the number past 16,384 steps, the attempt's included, rho
+    hands it to elliptic curves on the attempt's tables (B1 = 2000, B2 =
+    50,000), which charge 25,000 steps each before they start and run until
+    one splits it or the budget runs out.
 
     The memo holds the primes of at most 64 bits, above the trial bound,
     that the run's completed factorizations proved. use_config starts an

@@ -120,8 +120,19 @@ class TestPrimality:
 
 
 class TestStrongLucas:
-    """Above psi_13, check_prime adds one strong Lucas test with Selfridge's
-    parameters to its thirteen bases: the Baillie-PSW test."""
+    """Above psi_13, check_prime takes base 2 and one strong Lucas test with
+    Selfridge's parameters: the Baillie-PSW test."""
+
+    def test_base_2_alone_above_psi_13(self, monkeypatch):
+        bases = []
+        real = arith._strong_probable
+        monkeypatch.setattr(arith, "_strong_probable", lambda n, a: bases.append(a) or real(n, a))
+        # psi_13 passes base 2, so the Lucas test decides it
+        assert check_prime(DETERMINISTIC_PRIMALITY_BOUND) == PrimalityResult(False, False)
+        assert bases == [2]
+        bases.clear()
+        assert check_prime(2**89 - 1) == PrimalityResult(True, True)
+        assert bases == [2]
 
     def test_lucas_pseudoprimes_below_3e4(self):
         # OEIS A217255, the strong Lucas pseudoprimes, which base 2 catches;
@@ -421,6 +432,83 @@ class TestPollardPMinus1:
     def test_semiprimes_of_30_to_44_bits_factor_exactly(self):
         for n, factors in semiprime_sample(2020, 200, range(30, 45), range(30, 45)):
             assert factorize(n).factors == factors, n
+
+
+class TestECM:
+    """Past rho's second checkpoint, elliptic curves on the p - 1 tables."""
+
+    # P - 1 = 2^2 * 3^2 * 5^2 * 749219519 is not smooth, so the p - 1
+    # attempt fails; the fourth curve finds P. Rho alone charges more than
+    # 400,000 steps to split P * Q.
+    P, Q = 674297567101, 4349310587946781583389
+    # rho's rounds up to r = 1024 and the p - 1 attempt charge 14,585 steps
+    # before the first curve
+    BEFORE = 1023 + 12_538 + 1024
+
+    def count_curves(self, monkeypatch):
+        calls = []
+        real = arith._ecm_curve
+        monkeypatch.setattr(arith, "_ecm_curve", lambda n, sigma: calls.append(sigma) or real(n, sigma))
+        return calls
+
+    def test_splits_a_40_bit_prime_that_rho_alone_cannot(self, monkeypatch):
+        n = self.P * self.Q
+        assert arith._pollard_pm1(n, [10**6]) == 0
+        budget = self.BEFORE + 4 * arith._ECM_CURVE + 1
+        with use_config(Config(rho_budget=budget)):
+            assert factorize(n).factors == ((self.P, 1), (self.Q, 1))
+        # a block of its own: in the first, the known-prime memo would split n
+        monkeypatch.setattr(arith, "_ECM_FROM", 10**9)
+        with use_config(Config(rho_budget=400_000)):
+            with pytest.raises(IncompleteFactorizationError):
+                factorize(n)
+
+    def test_budget_below_the_checkpoint_never_runs_a_curve(self, monkeypatch):
+        calls = self.count_curves(monkeypatch)
+        n = 7 * self.P * self.Q
+        for budget in (1024, 1023 + 12_538 + 1, self.BEFORE):
+            with pytest.raises(IncompleteFactorizationError) as info:
+                with use_config(Config(rho_budget=budget)):
+                    factorize(n)
+            assert (info.value.partial, info.value.remainder) == ({7: 1}, self.P * self.Q)
+        assert calls == []
+
+    def test_charge_above_what_is_left_raises_before_the_curve(self, monkeypatch):
+        # the first curve splits p * q; p - 1 = 2^5 * 43 * 2004647 is not smooth
+        p, q = 2758394273, 12294706719084473861
+        assert arith._pollard_pm1(p * q, [10**6]) == 0
+        calls = self.count_curves(monkeypatch)
+        with pytest.raises(IncompleteFactorizationError) as info:
+            with use_config(Config(rho_budget=self.BEFORE + arith._ECM_CURVE)):
+                factorize(7 * p * q)
+        assert (info.value.partial, info.value.remainder) == ({7: 1}, p * q)
+        assert calls == []
+        with use_config(Config(rho_budget=self.BEFORE + arith._ECM_CURVE + 1)):
+            assert factorize(7 * p * q).factors == ((7, 1), (p, 1), (q, 1))
+        assert len(calls) == 1
+
+    def test_two_runs_try_the_same_curves(self, monkeypatch):
+        calls = self.count_curves(monkeypatch)
+        n = self.P * self.Q
+        runs = []
+        for _ in range(2):
+            budget = [10**6]
+            runs.append((arith._ecm(n, budget), budget[0], list(calls)))
+            calls.clear()
+        assert runs[0] == runs[1]
+        assert runs[0][0] == self.P and runs[0][1] == 10**6 - 4 * arith._ECM_CURVE
+        sigma = 6 + n % 2**32
+        assert runs[0][2] == [sigma, sigma + 1, sigma + 2, sigma + 3]
+
+    def test_gcd_of_the_whole_number_moves_to_the_next_sigma(self):
+        # the first curve finds both primes at once, the second only one
+        p, q = 2956819, 2447723
+        sigma = 6 + p * q % 2**32
+        assert arith._ecm_curve(p * q, sigma) == p * q
+        assert arith._ecm_curve(p * q, sigma + 1) in (p, q)
+        budget = [10**6]
+        assert arith._ecm(p * q, budget) == arith._ecm_curve(p * q, sigma + 1)
+        assert budget[0] == 10**6 - 2 * arith._ECM_CURVE
 
 
 class TestKnownPrimes:

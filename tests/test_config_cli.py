@@ -471,6 +471,24 @@ class TestCliContracts:
         assert f"order certificate for h = {exponent} holds" in out
         assert "budget ran out" in out
 
+    def test_fermat_8_prints_both_primes_at_the_default_budget(self, capsys):
+        # rho alone spent the whole budget on F_8 and answered without
+        # factors; ECM finds its 51-bit prime on the second curve. The
+        # cofactor lies above psi_13, so the answer carries the note
+        outs = []
+        for _ in range(2):
+            start = time.process_time()
+            code, out, _ = run_cli(capsys, "classify", "2^256+1")
+            assert time.process_time() - start < 3.0
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        cofactor = (2**256 + 1) // 1238926361552897
+        assert len(str(cofactor)) == 62
+        assert f"factors: 1238926361552897 * {cofactor}\n" in outs[0]
+        assert "overpseudoprime (primover)" in outs[0]
+        assert "result is probabilistic" in outs[0]
+
     def test_resource_errors_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "cosets", "--base", "2", "10000019")
         assert code == 2
