@@ -582,7 +582,9 @@ def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
     steps; when neither the memo nor the attempt finds a factor, the walk
     goes on where it stopped. The second, _ECM_FROM, comes after the round
     r = 1024, 14,585 steps with the attempt's; there rho hands n to _ecm
-    and does not resume.
+    and does not resume, unless what is left of the budget cannot pay one
+    curve's _ECM_CURVE: then rho goes on until it splits n or the budget
+    runs out.
     """
     start = budget[0]
     pm1 = True  # the memo check and the p - 1 attempt are still to make
@@ -597,7 +599,7 @@ def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
                 d = known.divisor(n) or _pollard_pm1(n, budget)
                 if d:
                     return d
-            if start - budget[0] + r > _ECM_FROM:
+            if start - budget[0] + r > _ECM_FROM and budget[0] > _ECM_CURVE:
                 return _ecm(n, budget)
             x = y
             for _ in range(r):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import re
 import sys
@@ -89,17 +90,13 @@ class _Subject(argparse.Action):
         namespace.plus_one = (int(m.group(1)), int(m.group(2))) if plus_one else None
 
 
-class _UsageError(Exception):
-    def __init__(self, parser: argparse.ArgumentParser, message: str):
-        self.parser = parser
-        self.message = message
-
-
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad usage; the contract here wants 1,
-    # so route errors through an exception main() can catch
+    # argparse exits with code 2 on bad usage; the contract here wants 1.
+    # A subparser is a _Parser too, so the usage shown is the verb's own
     def error(self, message: str):  # type: ignore[override]
-        raise _UsageError(self, message)
+        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(1)
 
 
 def _number(text: str) -> int:
@@ -128,23 +125,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache", help="factorization cache file")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb: str, help_text: str, base: bool = True) -> argparse.ArgumentParser:
+    def add(verb: str, handler: Callable, help_text: str, base: bool = True):
         p = sub.add_parser(verb, help=help_text)
+        p.set_defaults(handler=handler)
         if base:
             p.add_argument("--base", type=_number, default=2, help="the base a (default 2)")
         return p
 
-    p = add("classify", "full primover classification of N")
+    p = add("classify", _cmd_classify, "full primover classification of N")
     p.add_argument("subject", action=_Subject)
 
-    p = add("cosets", "cyclotomic coset decomposition of a mod n")
+    p = add("cosets", _cmd_cosets, "cyclotomic coset decomposition of a mod n")
     p.add_argument("modulus", type=_number)
     p.add_argument("--ceiling", type=int, help="enumeration ceiling override")
 
-    p = add("cofactor", "primitive primover cofactor of a^n - 1 (composite n)")
+    p = add("cofactor", _cmd_cofactor, "primitive primover cofactor of a^n - 1 (composite n)")
     p.add_argument("exponent", type=_number)
 
-    p = add("construct", "named cofactor constructions", base=False)
+    p = add("construct", _cmd_construct, "named cofactor constructions", base=False)
     kind = p.add_subparsers(dest="kind", required=True)
     for name, (help_text, positionals, _) in _KINDS.items():
         k = kind.add_parser(name, help=help_text)
@@ -152,20 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in positionals:
             k.add_argument(arg, type=_number)
 
-    p = add("ordinal", "position of N among strong pseudoprimes to the base")
+    p = add("ordinal", _cmd_ordinal, "position of N among strong pseudoprimes to the base")
     p.add_argument("subject", type=_number)
     deep_help = "allow subjects above 10^9; report the walk on stderr"
     p.add_argument("--deep", action="store_true", help=deep_help)
     p.add_argument("--workers", type=int, help="worker processes for the walk")
 
-    p = add("scan", "census of pseudoprimes and primovers up to a bound")
+    p = add("scan", _cmd_scan, "census of pseudoprimes and primovers up to a bound")
     p.add_argument("bound", type=_number)
     p.add_argument("--workers", type=int, help="worker processes for the walk")
 
-    p = add("identity", "signed exponent sum against phi(n)", base=False)
+    p = add("identity", _cmd_identity, "signed exponent sum against phi(n)", base=False)
     p.add_argument("n", type=_number)
 
-    p = add("bound", "primitive cofactor size report at exponent n")
+    p = add("bound", _cmd_bound, "primitive cofactor size report at exponent n")
     p.add_argument("n", type=_number)
 
     return parser
@@ -256,12 +254,11 @@ def _cmd_construct(args):
     return _verdict_report(build(args.base, *(getattr(args, a) for a in positionals)))
 
 
-def _progress_printer(every: int = 16) -> Callable[[int, int], None]:
-    state = {"count": 0}
+def _progress_printer() -> Callable[[int, int], None]:
+    calls = itertools.count(1)
 
     def report(done: int, total: int) -> None:
-        state["count"] += 1
-        if state["count"] % every == 0 or done >= total:
+        if next(calls) % 16 == 0 or done >= total:
             print(f"  walked {done:,} / {total:,}", file=sys.stderr)
 
     return report
@@ -315,20 +312,8 @@ def _cmd_bound(args):
     return rep._asdict(), lines, False
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "cosets": _cmd_cosets,
-    "cofactor": _cmd_cofactor,
-    "construct": _cmd_construct,
-    "ordinal": _cmd_ordinal,
-    "scan": _cmd_scan,
-    "identity": _cmd_identity,
-    "bound": _cmd_bound,
-}
-
-
 def _command_echo(args) -> dict:
-    skip = {"verb", "config", "format", "cache", "kind", "plus_one"}
+    skip = {"verb", "handler", "config", "format", "cache", "kind", "plus_one"}
     arguments = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
@@ -339,14 +324,9 @@ def _command_echo(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        exc.parser.print_usage(sys.stderr)
-        print(f"error: {exc.message}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error reported by _Parser
         return int(exc.code or 0)
 
     overrides = {
@@ -359,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     start = perf_counter()
     try:
         with arith.use_config(cfg):
-            payload, lines, probabilistic = _HANDLERS[args.verb](args)
+            payload, lines, probabilistic = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

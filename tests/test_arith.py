@@ -32,6 +32,7 @@ from primover.arith import (
     use_config,
 )
 from primover.config import Config
+from primover.construct import primitive_cofactor_value
 from primover.errors import (
     DomainError,
     IncompleteFactorizationError,
@@ -509,6 +510,29 @@ class TestECM:
         budget = [10**6]
         assert arith._ecm(p * q, budget) == arith._ecm_curve(p * q, sigma + 1)
         assert budget[0] == 10**6 - 2 * arith._ECM_CURVE
+
+    def test_checkpoint_hands_over_only_what_pays_for_a_curve(self, monkeypatch):
+        # exactly one curve's charge left: rho goes on; one step more: _ecm
+        entered = []
+        real = arith._ecm
+        monkeypatch.setattr(arith, "_ecm", lambda n, budget: entered.append(budget[0]) or real(n, budget))
+        for extra in (0, 1):
+            with pytest.raises(IncompleteFactorizationError):
+                with use_config(Config(rho_budget=self.BEFORE + arith._ECM_CURVE + extra)):
+                    factorize(7 * self.P * self.Q)
+        assert entered == [arith._ECM_CURVE + 1]
+
+    @pytest.mark.parametrize("a, n", [(2, 363), (6, 123)])
+    def test_rho_goes_on_where_no_curve_fits(self, monkeypatch, a, n):
+        # at rho's second checkpoint less than one curve's charge is left
+        # of the 30,000 steps, so rho goes on and splits the number
+        calls = self.count_curves(monkeypatch)
+        value = primitive_cofactor_value(a, n).value
+        with use_config(Config(rho_budget=30_000)):
+            f = factorize(value)
+        assert prod(p**e for p, e in f.factors) == value
+        assert all(is_prime(p) for p, _ in f.factors)
+        assert calls == []
 
 
 class TestKnownPrimes:

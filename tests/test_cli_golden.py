@@ -75,6 +75,14 @@ def cases() -> list[tuple[str, ...]]:
         ("construct", "prime-power", "--base", "3", "5", "2"),
         ("construct", "two-prime-power", "--base", "3", "3", "2", "5", "1"),
     ]
+    # usage errors, top level and in a subparser: usage line, message, exit 1
+    out += [
+        ("frobnicate", "7"),
+        ("classify",),
+        ("classify", "xyz"),
+        ("construct",),
+        ("construct", "two-prime", "5"),
+    ]
     return out
 
 

@@ -552,6 +552,26 @@ class TestCliContracts:
         assert "UserWarning" in cached.stderr and str(path) in cached.stderr
         assert plain.stderr == ""
 
+    def test_module_entry_point_exits_with_main_status(self):
+        # `python -m primover.cli` runs entrypoint(), which turns main()'s
+        # return value into the process's exit status
+        env = dict(os.environ, PYTHONPATH=str(Path(primover.__file__).parents[1]))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "primover.cli", *argv],
+                env=env, capture_output=True, text=True,
+            )
+
+        ok = run("classify", "2047")
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert ok.stdout.startswith("2047 to base 2: ")
+        bad = run("frobnicate", "7")
+        assert (bad.returncode, bad.stdout) == (1, "")
+        assert bad.stderr.startswith("usage: primover ") and "error: " in bad.stderr
+        help_ = run("--help")
+        assert help_.returncode == 0 and "classify" in help_.stdout
+
     def test_parser_declares_every_verb(self):
         parser = build_parser()
         text = parser.format_help()
