@@ -299,25 +299,16 @@ class Factorization:
         return format_powers(self.factors) if self.factors else str(self.subject)
 
 
-_TRIAL_BLOCK = 1024
-
-
-@lru_cache(maxsize=8)
-def _trial_blocks(bound: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The primes up to bound, in blocks of _TRIAL_BLOCK, each with its product.
-
-    One product per block, not one over all the primes: at a bound of 10^6
-    that one product takes about 3 s to build and a gcd with it over 1 ms.
-    """
-    primes = primes_upto(bound)
-    starts = range(0, len(primes), _TRIAL_BLOCK)
-    blocks = [tuple(primes[i : i + _TRIAL_BLOCK]) for i in starts]
-    return tuple((prod(block), block) for block in blocks)
-
-
-# built at import for the default bound, so that a process's first
-# factorization does not pay for the sieve
-_trial_blocks(Config().trial_bound)
+# The primes up to _TRIAL_BOUND, in blocks of 1024, each with its product,
+# so that one gcd tells which of a block's primes divide m, and an m below
+# the square of a block's first prime skips the block. Built at import, so
+# that a process's first factorization does not pay for the sieve.
+_TRIAL_BOUND = 10_000
+_TRIAL_BLOCKS = tuple(
+    (prod(block), block)
+    for primes in [primes_upto(_TRIAL_BOUND)]
+    for block in (tuple(primes[i : i + 1024]) for i in range(0, len(primes), 1024))
+)
 
 
 class _BudgetExhausted(Exception):
@@ -526,7 +517,7 @@ _KNOWN_MAX = 1 << 16
 
 
 class _KnownPrimes:
-    """The primes above the trial bound that a run's completed
+    """The primes above _TRIAL_BOUND that a run's completed
     factorizations have proved, those of at most _KNOWN_BITS bits.
 
     learn() records primes; a memo that would pass _KNOWN_MAX primes starts
@@ -628,11 +619,11 @@ def _brent_rho(n: int, budget: list[int], known: _KnownPrimes) -> int:
 
 
 def factorize(n: int) -> Factorization:
-    """Fully factor n >= 2 under the run's trial bound, rho budget, cache
-    and known-prime memo. Raises IncompleteFactorizationError, carrying the
+    """Fully factor n >= 2 under the run's rho budget, cache and
+    known-prime memo. Raises IncompleteFactorizationError, carrying the
     partial result, when the budget runs out.
 
-    Trial division takes out the primes up to the trial bound. What is left
+    Trial division takes out the primes up to 10,000. What is left
     is split depth first, a factor d before its cofactor: a prime is
     counted, a square is peeled, and any other composite goes to Brent's
     rho. The budget is one count of steps for the whole factorization. Rho
@@ -648,7 +639,7 @@ def factorize(n: int) -> Factorization:
     50,000), which charge 25,000 steps each before they start and run until
     one splits it or the budget runs out.
 
-    The memo holds the primes of at most 64 bits, above the trial bound,
+    The memo holds the primes of at most 64 bits, above 10,000,
     that the run's completed factorizations proved. use_config starts an
     empty one, and outside any block one memo serves the process. It moves
     only cost: a completed factorization is the same with or without it.
@@ -663,7 +654,7 @@ def factorize(n: int) -> Factorization:
 
     counts: dict[int, int] = {}
     m = n
-    for product, block in _trial_blocks(max(config.trial_bound, 3)):
+    for product, block in _TRIAL_BLOCKS:
         if block[0] * block[0] > m:
             break
         g = gcd(m, product)  # the block's primes that divide m, once each
@@ -692,7 +683,7 @@ def factorize(n: int) -> Factorization:
         except _BudgetExhausted:
             done = prod(p**e for p, e in counts.items())
             raise IncompleteFactorizationError(n, counts, n // done) from None
-        known.learn(p for p in counts if p > config.trial_bound)
+        known.learn(p for p in counts if p > _TRIAL_BOUND)
     result = Factorization(n, tuple(sorted(counts.items())))
     if cache is not None:
         cache.put(result)

@@ -71,7 +71,7 @@ def parse_number(text: str) -> int:
     if m:
         a, n, tail = int(m.group(1)), int(m.group(2)), m.group(3)
         return a**n + (1 if tail == "+1" else -1)
-    if text.isdigit():
+    if text.isdecimal():
         return int(text)
     raise ValueError(f"not a number or a^n±1 expression: {text!r}")
 

@@ -18,7 +18,6 @@ ENV_PREFIX = "PRIMOVER_"
 @dataclass(frozen=True)
 class Config:
     coset_ceiling: int = 10_000_000
-    trial_bound: int = 10_000
     rho_budget: int = 5_000_000
     workers: int = 1
     cache_path: str | None = None

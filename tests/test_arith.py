@@ -1,5 +1,4 @@
 import random
-import time
 from bisect import bisect_right
 from math import gcd, prod
 
@@ -15,7 +14,6 @@ from primover.arith import (
     PrimalityResult,
     _strong_lucas_probable,
     _strong_probable,
-    _trial_blocks,
     check_prime,
     cyclotomic_terms,
     cyclotomic_value,
@@ -209,8 +207,7 @@ class TestFactorization:
         p = 1000003
         assert factorize(p * p).factors == ((p, 2),)
 
-    @pytest.mark.parametrize("bound", (3, 10, 100, 10**4))
-    def test_trial_division_edges(self, bound):
+    def test_trial_division_edges(self):
         primes = primes_upto(20_000)
         cases = (
             2,
@@ -226,19 +223,8 @@ class TestFactorization:
             # across the end of the first trial block, 1024 primes in
             primes[1022] * primes[1023] ** 2 * primes[1024] * primes[1025],
         )
-        with use_config(Config(trial_bound=bound)):
-            for n in cases:
-                assert factorize(n).factors == naive_factor(n), (bound, n)
-
-    def test_large_trial_bound_builds_quickly(self):
-        _trial_blocks.cache_clear()
-        try:
-            start = time.perf_counter()
-            with use_config(Config(trial_bound=10**6)):
-                assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
-            assert time.perf_counter() - start < 1.0
-        finally:
-            _trial_blocks.cache_clear()
+        for n in cases:
+            assert factorize(n).factors == naive_factor(n), n
 
     def test_random_recompose_and_primality(self):
         rng = random.Random(20250821)
@@ -380,7 +366,7 @@ class TestPollardPMinus1:
         assert (first, len(rows), top) == (1, 22, 1153)
         assert sum(map(len, rows)) == 3727 and len(stage2) == 4830
 
-    def test_five_beside_base_three_primes_under_the_least_trial_bound(self):
+    def test_five_beside_base_three_primes_falls_back_to_base_two(self):
         # p divides Phi_194(3) and q Phi_142(3), so 3^E = 1 modulo 5, p and
         # q, and stage 1 falls back to base 2. 2^E is invertible modulo any
         # number trial division leaves; 5^E would not be, and the inverse
@@ -388,8 +374,6 @@ class TestPollardPMinus1:
         p, q = 503803759819, 4052490063499
         d = arith._pollard_pm1(5 * p * q, [10**6])
         assert 1 < d < 5 * p * q and 5 * p * q % d == 0
-        with use_config(Config(trial_bound=3)):
-            assert factorize(5 * p * q).factors == ((5, 1), (p, 1), (q, 1))
 
     def test_budget_below_the_first_rounds_never_reaches_it(self, monkeypatch):
         calls = []

@@ -82,7 +82,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config()
         assert cfg.coset_ceiling == 10_000_000
-        assert cfg.trial_bound == 10_000
         assert cfg.rho_budget == 5_000_000
         assert cfg.workers == 1
         assert cfg.cache_path is None
@@ -104,6 +103,8 @@ class TestConfig:
 
     def test_empty_environment_gives_defaults(self):
         assert load_config(env={}) == Config()
+        # trial division has a fixed bound, and no variable sets one
+        assert load_config(env={"PRIMOVER_TRIAL_BOUND": "10"}) == Config()
 
     def test_file_values(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -114,10 +115,12 @@ class TestConfig:
         assert cfg.workers == 1
 
     def test_unknown_key_warns(self, tmp_path):
+        # trial division has a fixed bound, and no file key sets one
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"ceilings": 5}))
-        with pytest.warns(UserWarning, match="unknown config key"):
-            assert load_config(str(p), env={}) == Config()
+        for doc in ({"ceilings": 5}, {"trial_bound": 10}):
+            p.write_text(json.dumps(doc))
+            with pytest.warns(UserWarning, match="unknown config key"):
+                assert load_config(str(p), env={}) == Config()
 
     def test_wrong_typed_file_values_dropped(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -231,14 +234,17 @@ class TestFactorizationCacheFile:
 
     def test_factorize_consults_active_cache(self, tmp_path):
         path = str(tmp_path / "factors.txt")
-        # seed a deliberately unhelpful but valid record to prove the cache
-        # is consulted: the subject maps to itself as "prime" would not pass
-        # validation, so use the true factors but a poisoned trial bound
+        # 100160063 = 10007 * 10009 has no factor that trial division takes
+        # out, so under a budget of 1 only the cache can answer
+        n = 10007 * 10009
+        with use_config(Config(rho_budget=1)):
+            with pytest.raises(IncompleteFactorizationError):
+                factorize(n)
         cache = FactorizationCache(path)
-        cache.put(factorize(4294967297))
-        with use_config(Config(cache_path=path, trial_bound=10, rho_budget=1)):
-            got = factorize(4294967297)
-        assert got.factors == ((641, 1), (6700417, 1))
+        cache.put(factorize(n))
+        with use_config(Config(cache_path=path, rho_budget=1)):
+            got = factorize(n)
+        assert got.factors == ((10007, 1), (10009, 1))
 
 
 class TestCliVerbs:
@@ -415,7 +421,7 @@ class TestCliContracts:
             assert "usage" in err or "error" in err
 
     @pytest.mark.parametrize(
-        "argv", (["cosets", "12x"], ["scan", "--base", "2^x", "100"])
+        "argv", (["cosets", "12x"], ["scan", "--base", "2^x", "100"], ["classify", "²"])
     )
     def test_malformed_number_exits_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -605,19 +611,6 @@ def _check_coset_ceiling(capsys, monkeypatch, tmp_path):
     assert code == 0 and "r = " not in out
 
 
-def _check_trial_bound(capsys, monkeypatch, tmp_path):
-    # 641 falls to trial division at the default bound, not at 10. The
-    # subject is 2^32 + 1 in decimal: written 2^32+1 it carries the order
-    # hint 64, whose certificate decides it without the factorization
-    monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
-    assert run_cli(capsys, "classify", "4294967297")[0] == 0
-    monkeypatch.setenv("PRIMOVER_TRIAL_BOUND", "10")
-    code, _, err = run_cli(capsys, "classify", "4294967297")
-    assert code == 2 and "budget exhausted" in err
-    code, out, _ = run_cli(capsys, "classify", "2^32+1")
-    assert code == 0 and "overpseudoprime (primover)" in out and "budget ran out" in out
-
-
 def _check_rho_budget(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
     code, _, err = run_cli(capsys, "classify", "2^67-1")
@@ -646,7 +639,6 @@ def _check_cache_path(capsys, monkeypatch, tmp_path):
 
 _SETTING_CHECKS = {
     "coset_ceiling": _check_coset_ceiling,
-    "trial_bound": _check_trial_bound,
     "rho_budget": _check_rho_budget,
     "workers": _check_workers,
     "cache_path": _check_cache_path,
@@ -672,16 +664,15 @@ def test_cached_order_does_not_outlive_its_run():
 
 def test_scan_needs_no_factoring(capsys, monkeypatch, tmp_path):
     # scan decides overpseudoprimes by the order certificate, so neither the
-    # factoring budget nor the cache takes part; with a trial bound of 10,
-    # factoring the strong pseudoprimes below 10^6 would need rho
-    default = scan(2, 10**6)
-    with use_config(Config(trial_bound=10, rho_budget=1)):
-        assert scan(2, 10**6) == default
+    # factoring budget nor the cache takes part; 158397247 = 11257 * 14071,
+    # a strong pseudoprime that rho would split
+    default = scan(2, 158397247)
+    with use_config(Config(rho_budget=1)):
+        assert scan(2, 158397247) == default
     path = tmp_path / "factors.txt"
     with use_config(Config(cache_path=str(path))):
-        assert scan(2, 10**6) == default
+        assert scan(2, 158397247) == default
     assert not path.exists() or path.read_text() == ""
-    # 158397247 = 11257 * 14071, a strong pseudoprime that rho would split
     monkeypatch.setenv("PRIMOVER_RHO_BUDGET", "1")
     res = run_json(capsys, "scan", "158397247")["result"]
     assert (len(res["strong_pseudoprimes"]), res["overpseudoprime_count"]) == (592, 318)
